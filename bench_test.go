@@ -347,8 +347,8 @@ func BenchmarkParallelIngest(b *testing.B) {
 			b.ReportMetric(float64(len(shapes)*b.N)/b.Elapsed().Seconds(), "shapes/sec")
 		}
 	}
-	b.Run("serial", run(1))
-	b.Run("parallel", run(0)) // 0 = one worker per logical CPU
+	b.Run("columns_w1", run(1))
+	b.Run("columns", run(0)) // 0 = one worker per logical CPU
 }
 
 func ingestShapes(b *testing.B, n int) []threedess.Shape {
@@ -362,10 +362,10 @@ func ingestShapes(b *testing.B, n int) []threedess.Shape {
 	return out
 }
 
-// BenchmarkWeightedScanParallel compares the weighted full-scan search
-// (the non-indexed path, which cannot use the R-trees) with one worker
-// against the sharded scan across the full pool, over a synthetic
-// database large enough to cross the parallelism threshold.
+// BenchmarkWeightedScanParallel compares the weighted search (the
+// columnar scan, which cannot use the per-feature R-trees) on one worker
+// against one worker per logical CPU, over a synthetic database of
+// several scan blocks so the shards actually fan out.
 func BenchmarkWeightedScanParallel(b *testing.B) {
 	db, err := shapedb.Open("", features.Options{})
 	if err != nil {
@@ -398,6 +398,12 @@ func BenchmarkWeightedScanParallel(b *testing.B) {
 	run := func(workers int) func(*testing.B) {
 		return func(b *testing.B) {
 			e := core.NewEngine(db).SetWorkers(workers)
+			// The first search builds the columns; a server keeps them
+			// fresh in the background, so that is not per-query cost.
+			if _, err := e.SearchTopK(context.Background(), query, searchOpts); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := e.SearchTopK(context.Background(), query, searchOpts)
 				if err != nil {
@@ -410,8 +416,8 @@ func BenchmarkWeightedScanParallel(b *testing.B) {
 			b.ReportMetric(float64(db.Len()*b.N)/b.Elapsed().Seconds(), "shapes/sec")
 		}
 	}
-	b.Run("serial", run(1))
-	b.Run("parallel", run(0))
+	b.Run("columns_w1", run(1))
+	b.Run("columns", run(0))
 }
 
 // BenchmarkJournalInsert measures a durable insert (journal append +

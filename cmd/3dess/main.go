@@ -135,7 +135,6 @@ func main() {
 	replSync := flag.Bool("repl-sync", true, "primary acknowledges writes only after the standby has durably applied them")
 	ackTimeout := flag.Duration("repl-ack-timeout", server.DefaultAckTimeout, "how long a synchronous write waits for the standby before failing with 503")
 	replSecret := flag.String("repl-secret", "", "shared secret gating the replication endpoints; both nodes must set the same value (empty = open trusted-network mode)")
-	searchMode := flag.String("search-mode", "auto", "default execution mode for weighted searches: auto, exact (exhaustive scan escape hatch), or two-stage (columnar filter-and-refine); results are identical in every mode")
 	shardIndex := flag.Int("shard-of", -1, "run as this shard index (0-based) of a -shards cluster")
 	numShards := flag.Int("shards", 0, "total shard count when running with -shard-of")
 	join := flag.Bool("join", false, "run as a JOINING shard: start at ring epoch 0 with an empty corpus and wait for the coordinator's rebalance driver to install the live topology (requires -shard-of, ignores -shards)")
@@ -206,14 +205,9 @@ func main() {
 	}
 
 	engine := core.NewEngine(db)
-	mode, err := core.ParseScanMode(*searchMode)
-	if err != nil {
-		log.Fatalf("-search-mode: %v", err)
-	}
-	engine.SetSearchMode(mode)
-	if mode != core.ScanExact && !isCoord {
+	if !isCoord {
 		// Keep the columnar descriptor store fresh in the background so
-		// two-stage queries never pay the rebuild on the request path.
+		// weighted queries rarely pay the rebuild on the request path.
 		// Query-time staleness checks remain the correctness guarantee.
 		// (A coordinator's own engine holds no corpus — nothing to watch.)
 		go engine.ColStore().Watch(ctx)

@@ -28,10 +28,10 @@ type PerfHost struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
-// PerfSeries is one measured configuration: a scan mode at a corpus size,
-// or an ingest configuration (Records = corpus size).
+// PerfSeries is one measured configuration: a scan worker count at a
+// corpus size, or an ingest configuration (Records = corpus size).
 type PerfSeries struct {
-	Name         string  `json:"name"` // e.g. "scan_two_stage"
+	Name         string  `json:"name"` // e.g. "scan_columns"
 	Records      int     `json:"records"`
 	ShapesPerSec float64 `json:"shapes_per_sec"`
 }
@@ -47,18 +47,18 @@ type PerfReport struct {
 }
 
 // scanSeriesNames are the per-size configurations figPerf measures and
-// checkPerfReport requires.
-var scanSeriesNames = []string{"scan_serial", "scan_sharded", "scan_two_stage"}
+// checkPerfReport requires: the columnar scan on one worker and on one
+// worker per logical CPU.
+var scanSeriesNames = []string{"scan_columns_w1", "scan_columns"}
 
 // figPerf measures the query execution layer: bulk-ingest throughput
 // (worker-pool feature extraction), and weighted top-k search throughput
-// at each corpus size in sizes for three configurations — serial exact
-// scan, sharded exact scan, and two-stage columnar search. Every
-// configuration returns identical results by construction; only the wall
-// clock differs. The series land on stdout as csv rows and in outPath as
-// BENCH_perf.json.
+// at each corpus size in sizes for the columnar scan on one worker and on
+// all of them. Both return identical results by construction; only the
+// wall clock differs. The series land on stdout as csv rows and in
+// outPath as BENCH_perf.json.
 func figPerf(seed int64, sizes []int, outPath string) error {
-	header(fmt.Sprintf("perf: ingest, sharded scan & two-stage search (GOMAXPROCS = %d)", runtime.GOMAXPROCS(0)))
+	header(fmt.Sprintf("perf: ingest & weighted columnar scan (GOMAXPROCS = %d)", runtime.GOMAXPROCS(0)))
 	report := &PerfReport{
 		GeneratedUnix: time.Now().Unix(),
 		Seed:          seed,
@@ -114,8 +114,8 @@ func figPerf(seed int64, sizes []int, outPath string) error {
 			report.Series = append(report.Series, PerfSeries{Name: name, Records: n, ShapesPerSec: rates[i]})
 			fmt.Printf("csv,perf,scan,%s,%d,%.2f\n", name[len("scan_"):], n, rates[i])
 		}
-		fmt.Printf("weighted top-10 at %d records: serial %.0f, sharded %.0f (%d workers), two-stage %.0f shapes/sec (%.1fx vs serial)\n",
-			n, rates[0], rates[1], workpool.Resolve(0), rates[2], rates[2]/rates[0])
+		fmt.Printf("weighted top-10 at %d records: 1 worker %.0f, %d workers %.0f shapes/sec (%.2fx)\n",
+			n, rates[0], workpool.Resolve(0), rates[1], rates[1]/rates[0])
 	}
 
 	if outPath != "" {
@@ -135,11 +135,10 @@ func figPerf(seed int64, sizes []int, outPath string) error {
 }
 
 // perfScanSize builds an in-memory database of n synthetic records and
-// measures weighted top-10 throughput (records visited per second) for the
-// serial exact scan, the sharded exact scan, and the two-stage columnar
-// path, in that order.
-func perfScanSize(seed int64, n int, mesh *geom.Mesh) ([3]float64, error) {
-	var rates [3]float64
+// measures weighted top-10 throughput (records visited per second) of the
+// columnar scan on one worker and on one per logical CPU, in that order.
+func perfScanSize(seed int64, n int, mesh *geom.Mesh) ([2]float64, error) {
+	var rates [2]float64
 	db, err := shapedb.Open("", features.Options{})
 	if err != nil {
 		return rates, err
@@ -174,11 +173,11 @@ func perfScanSize(seed int64, n int, mesh *geom.Mesh) ([3]float64, error) {
 	} else if iters > 50 {
 		iters = 50
 	}
-	measure := func(workers int, mode core.ScanMode) (float64, error) {
-		e := core.NewEngine(db).SetWorkers(workers).SetSearchMode(mode)
-		// Warm up so the measured loop sees resident snapshots and, for
-		// two-stage, an already-built columnar store (a server keeps it
-		// fresh in the background; the build is not per-query cost).
+	measure := func(workers int) (float64, error) {
+		e := core.NewEngine(db).SetWorkers(workers)
+		// Warm up so the measured loop sees an already-built columnar
+		// store (a server keeps it fresh in the background; the build is
+		// not per-query cost).
 		if _, err := e.SearchTopK(context.Background(), query, searchOpts); err != nil {
 			return 0, err
 		}
@@ -190,13 +189,10 @@ func perfScanSize(seed int64, n int, mesh *geom.Mesh) ([3]float64, error) {
 		}
 		return float64(n) * float64(iters) / time.Since(start).Seconds(), nil
 	}
-	if rates[0], err = measure(1, core.ScanExact); err != nil {
+	if rates[0], err = measure(1); err != nil {
 		return rates, err
 	}
-	if rates[1], err = measure(0, core.ScanExact); err != nil {
-		return rates, err
-	}
-	if rates[2], err = measure(0, core.ScanTwoStage); err != nil {
+	if rates[1], err = measure(0); err != nil {
 		return rates, err
 	}
 	return rates, nil

@@ -38,9 +38,8 @@ func TestSearchesRejectCancelledContext(t *testing.T) {
 	}
 }
 
-// TestScanHonorsCancellationOnLargeCorpus fills the store past the
-// parallel-scan threshold and cancels mid-scan via the weighted (indexless)
-// path, which walks every record.
+// TestScanHonorsCancellationOnLargeCorpus runs the weighted (indexless)
+// path, which walks every record, under a dead context.
 func TestScanHonorsCancellationOnLargeCorpus(t *testing.T) {
 	db, _ := synthDB(t)
 	e := NewEngine(db)
@@ -65,7 +64,7 @@ func TestScanHonorsCancellationOnLargeCorpus(t *testing.T) {
 	for i := range weights {
 		weights[i] = 1
 	}
-	// Weighted search forces the sharded scan rather than the index.
+	// Weighted search forces the columnar scan rather than the index.
 	_, err := e.SearchTopK(cancelled(), q, Options{Feature: features.PrincipalMoments, K: 5, Weights: weights})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("weighted scan under dead ctx: err = %v", err)

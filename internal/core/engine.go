@@ -13,14 +13,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"threedess/internal/colstore"
 	"threedess/internal/features"
 	"threedess/internal/geom"
 	"threedess/internal/rtree"
 	"threedess/internal/shapedb"
-	"threedess/internal/workpool"
 )
 
 // Engine executes shape queries against a database.
@@ -31,12 +29,9 @@ type Engine struct {
 	// (≤ 0 = one per logical CPU). It never changes results, only
 	// throughput.
 	workers int
-	// cstore holds per-kind columnar descriptor copies for the two-stage
-	// weighted search path; mode is the engine-wide default ScanMode.
-	// Neither changes results — two-stage search is exact — only how a
-	// weighted query executes.
+	// cstore holds the per-kind columnar descriptor copies every weighted
+	// search scans (weighted.go).
 	cstore *colstore.Manager
-	mode   ScanMode
 }
 
 // NewEngine builds an engine over db, extracting query features with the
@@ -79,18 +74,17 @@ type Options struct {
 	// Feature selects which descriptor drives the search.
 	Feature features.Kind
 	// Weights are per-dimension weights of Equation 4.3. Nil means
-	// uniform. Non-uniform weights bypass the R-tree (whose metric is
-	// unweighted) and scan, exactly like the prototype's reconfigured
-	// queries.
+	// uniform. Non-nil weights bypass the R-tree (whose metric is
+	// unweighted) and scan the columnar store, like the prototype's
+	// reconfigured queries.
 	Weights []float64
 	// Threshold is the minimum similarity for SearchThreshold (0..1).
 	Threshold float64
 	// K is the result count for SearchTopK.
 	K int
-	// Mode selects how a weighted search executes: ScanAuto (default)
-	// defers to the engine's configured mode, ScanExact forces the
-	// exhaustive scan, ScanTwoStage forces the columnar filter-and-refine
-	// path. Every mode returns identical results.
+	// Mode applies to weighted searches only: ScanAuto (default) and
+	// ScanExact return the exact answer, ScanCoarse the approximate
+	// filter-stage answer of the brownout tier.
 	Mode ScanMode
 	// DMax overrides the Equation-4.4 normalizer (0 = derive it from this
 	// database's feature-space bounding box, the default). A scatter-gather
@@ -192,7 +186,7 @@ func (e *Engine) QueryFeatures(id int64) (features.Set, error) {
 // SearchThreshold returns every shape whose similarity to the query meets
 // opt.Threshold, most similar first (the paper's §4.1 query mode). ctx
 // cancellation (request timeout, client gone, server drain) aborts the
-// sharded scan between records and returns the context error.
+// weighted scan between blocks and returns the context error.
 func (e *Engine) SearchThreshold(ctx context.Context, query features.Set, opt Options) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -215,28 +209,11 @@ func (e *Engine) SearchThreshold(ctx context.Context, query features.Set, opt Op
 		}
 		return e.toResults(nn, dmax), nil
 	}
-	switch mode, forced := e.resolveScanMode(opt); mode {
-	case ScanCoarse:
-		// Coarse is approximate by design; a forced request surfaces
-		// errors so the caller can fall back to exact and drop its
-		// degraded marking, never mislabel.
-		out, err := e.coarseThreshold(ctx, qv, opt, dmax)
-		if err == nil || forced || ctx.Err() != nil {
-			return out, err
-		}
-	case ScanTwoStage:
-		out, err := e.twoStageThreshold(ctx, qv, opt, dmax)
-		if err == nil || forced || ctx.Err() != nil {
-			return out, err
-		}
-		// Auto-selected two-stage could not serve (store build failure);
-		// degrade to the exact scan rather than failing the query.
-	}
-	return e.scan(ctx, qv, opt, func(r Result) bool { return r.Similarity >= opt.Threshold }, 0, dmax)
+	return e.weightedThreshold(ctx, opt.Feature, qv, opt.Weights, opt.Threshold, dmax, opt.Mode == ScanCoarse)
 }
 
 // SearchTopK returns the opt.K most similar shapes, most similar first.
-// ctx cancellation aborts the weighted scan path between records; the
+// ctx cancellation aborts the weighted scan path between blocks; the
 // indexed path checks it once up front.
 func (e *Engine) SearchTopK(ctx context.Context, query features.Set, opt Options) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
@@ -257,109 +234,7 @@ func (e *Engine) SearchTopK(ctx context.Context, query features.Set, opt Options
 		}
 		return e.toResults(nn, dmax), nil
 	}
-	switch mode, forced := e.resolveScanMode(opt); mode {
-	case ScanCoarse:
-		out, err := e.coarseTopK(ctx, qv, opt, dmax)
-		if err == nil || forced || ctx.Err() != nil {
-			return out, err
-		}
-	case ScanTwoStage:
-		out, err := e.twoStageTopK(ctx, qv, opt, dmax)
-		if err == nil || forced || ctx.Err() != nil {
-			return out, err
-		}
-	}
-	return e.scan(ctx, qv, opt, nil, opt.K, dmax)
-}
-
-// minParallelScan is the snapshot size below which the sharded scan is
-// not worth its goroutine fan-out and the scan stays on one worker.
-// Goroutine spawn, WaitGroup synchronization, and the partial merge cost
-// on the order of a thousand ranked records, so small corpora scan inline.
-const minParallelScan = 1024
-
-// scan is the weighted-distance fallback: a full scan ranked by Equation
-// 4.3. keep filters results (nil keeps everything); k > 0 truncates.
-//
-// The scan iterates a lock-free snapshot (shapedb.Snapshot) partitioned
-// into contiguous shards across the engine's worker pool; each worker
-// ranks its shard into a local partial result (truncated to its own top-k
-// when k > 0), and the partials are merged and re-ranked at the end. The
-// final (distance, ID) ordering makes the output independent of the shard
-// layout, so serial and parallel scans return identical results. A scan
-// that resolves to one shard runs on the calling goroutine: spawning a
-// worker and merging a single partial only adds latency.
-func (e *Engine) scan(ctx context.Context, qv features.Vector, opt Options, keep func(Result) bool, k int, dmax float64) ([]Result, error) {
-	recs := e.db.Snapshot()
-	workers := workpool.Resolve(e.workers)
-	if len(recs) < minParallelScan {
-		workers = 1
-	}
-	shards := workpool.Shards(workers, len(recs))
-	partials := make([][]Result, len(shards))
-	errs := make([]error, len(shards))
-	if len(shards) == 1 {
-		partials[0], errs[0] = e.scanShard(ctx, recs, qv, opt, keep, k, dmax)
-	} else {
-		var wg sync.WaitGroup
-		for si, s := range shards {
-			wg.Add(1)
-			go func(si int, s workpool.Shard) {
-				defer wg.Done()
-				partials[si], errs[si] = e.scanShard(ctx, recs[s.Lo:s.Hi], qv, opt, keep, k, dmax)
-			}(si, s)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var out []Result
-	for _, p := range partials {
-		out = append(out, p...)
-	}
-	sortResults(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out, nil
-}
-
-// scanShard ranks one contiguous slice of a snapshot. With k > 0 the
-// shard's result is pre-truncated to its local top-k, bounding the merge
-// cost at workers·k rows.
-func (e *Engine) scanShard(ctx context.Context, recs []*shapedb.Record, qv features.Vector, opt Options, keep func(Result) bool, k int, dmax float64) ([]Result, error) {
-	var out []Result
-	for i, rec := range recs {
-		// Cancellation check amortized over a small block of records so
-		// an aborted request stops scanning promptly without paying a
-		// per-record synchronization cost.
-		if i&63 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		xv, ok := rec.Features[opt.Feature]
-		if !ok {
-			continue
-		}
-		if len(xv) != len(qv) {
-			return nil, fmt.Errorf("core: stored feature %v of shape %d has dimension %d, query %d",
-				opt.Feature, rec.ID, len(xv), len(qv))
-		}
-		d := WeightedDistance(qv, xv, opt.Weights)
-		r := batchResult(rec, d, dmax)
-		if keep == nil || keep(r) {
-			out = append(out, r)
-		}
-	}
-	if k > 0 && len(out) > k {
-		sortResults(out)
-		out = out[:k]
-	}
-	return out, nil
+	return e.weightedTopK(ctx, opt.Feature, qv, opt.Weights, opt.K, dmax, opt.Mode == ScanCoarse)
 }
 
 // sortResults orders by ascending distance, breaking ties by ID — the

@@ -11,8 +11,8 @@ import (
 	"threedess/internal/shapedb"
 )
 
-// synthScanDB builds a DB large enough to cross the parallel-scan
-// threshold, with deterministic but scattered principal-moment vectors.
+// synthScanDB builds a DB of n records with deterministic but scattered
+// feature vectors of every core kind.
 func synthScanDB(t *testing.T, n int) *shapedb.DB {
 	t.Helper()
 	db, err := shapedb.Open("", features.Options{})
@@ -38,81 +38,37 @@ func synthScanDB(t *testing.T, n int) *shapedb.DB {
 	return db
 }
 
-// TestScanParallelMatchesSerial asserts the sharded weighted scan returns
-// exactly the serial scan's results (IDs, distances, order) for top-k and
-// threshold searches at several worker counts.
-func TestScanParallelMatchesSerial(t *testing.T) {
-	db := synthScanDB(t, 300)
-	opts := db.Options()
-	dim := opts.Dim(features.PrincipalMoments)
-	query := features.Set{features.PrincipalMoments: make(features.Vector, dim)}
-	weights := make([]float64, dim)
-	for i := range weights {
-		weights[i] = 1 + float64(i)
-	}
-	topOpt := Options{Feature: features.PrincipalMoments, Weights: weights, K: 17}
-	thOpt := Options{Feature: features.PrincipalMoments, Weights: weights, Threshold: 0.4}
-
-	serial := NewEngine(db).SetWorkers(1)
-	wantTop, err := serial.SearchTopK(context.Background(), query, topOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wantTop) != 17 {
-		t.Fatalf("serial top-k returned %d", len(wantTop))
-	}
-	wantTh, err := serial.SearchThreshold(context.Background(), query, thOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		par := NewEngine(db).SetWorkers(workers)
-		gotTop, err := par.SearchTopK(context.Background(), query, topOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotTop) != len(wantTop) {
-			t.Fatalf("workers=%d: top-k %d results, want %d", workers, len(gotTop), len(wantTop))
-		}
-		for i := range wantTop {
-			if gotTop[i] != wantTop[i] {
-				t.Errorf("workers=%d: top-k[%d] = %+v, want %+v", workers, i, gotTop[i], wantTop[i])
-			}
-		}
-		gotTh, err := par.SearchThreshold(context.Background(), query, thOpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotTh) != len(wantTh) {
-			t.Fatalf("workers=%d: threshold %d results, want %d", workers, len(gotTh), len(wantTh))
-		}
-		for i := range wantTh {
-			if gotTh[i] != wantTh[i] {
-				t.Errorf("workers=%d: threshold[%d] = %+v, want %+v", workers, i, gotTh[i], wantTh[i])
-			}
-		}
-	}
-}
-
-// TestScanShardErrorPropagates plants a wrong-dimension vector and checks
-// the parallel scan still surfaces the error.
-func TestScanShardErrorPropagates(t *testing.T) {
+// TestWeightedScanDimensionMismatch checks both ways a dimension mismatch
+// can reach the weighted scan surface as an error, never as a wrong
+// answer: a short query against healthy columns, and a stored vector of
+// the wrong length (InsertFull rejects those at the door, so the test
+// plants one in a snapshot record) failing the column build.
+func TestWeightedScanDimensionMismatch(t *testing.T) {
 	db := synthScanDB(t, 100)
 	dim := db.Options().Dim(features.PrincipalMoments)
-	weights := make([]float64, dim)
 	e := NewEngine(db).SetWorkers(4)
-	// Force the dimension check to trip by searching with a short query
-	// vector but matching weights length (checkOptions validates weights
-	// against the query, the scan validates stored vectors against it).
-	shortQ := features.Set{features.PrincipalMoments: make(features.Vector, dim-1)}
-	shortW := weights[:dim-1]
-	if _, err := e.SearchTopK(context.Background(), shortQ, Options{Feature: features.PrincipalMoments, Weights: shortW, K: 5}); err == nil {
-		t.Error("dimension mismatch not reported by parallel scan")
+	// checkOptions validates weights against the query; the store
+	// validates the query against its columns.
+	short := features.Set{features.PrincipalMoments: make(features.Vector, dim-1)}
+	if _, err := e.SearchTopK(context.Background(), short, Options{Feature: features.PrincipalMoments, Weights: make([]float64, dim-1), K: 5}); err == nil {
+		t.Error("short query vector not reported")
+	}
+
+	rec := db.Snapshot()[40]
+	rec.Features[features.PrincipalMoments] = rec.Features[features.PrincipalMoments][:dim-1]
+	query := features.Set{features.PrincipalMoments: make(features.Vector, dim)}
+	opt := Options{Feature: features.PrincipalMoments, Weights: make([]float64, dim), K: 5, Threshold: 0.5}
+	fresh := NewEngine(db).SetWorkers(4) // e's columns were built before the damage
+	if _, err := fresh.SearchTopK(context.Background(), query, opt); err == nil {
+		t.Error("wrong-dimension stored vector not reported by top-k")
+	}
+	if _, err := fresh.SearchThreshold(context.Background(), query, opt); err == nil {
+		t.Error("wrong-dimension stored vector not reported by threshold search")
 	}
 }
 
 // TestConcurrentInsertSearchDelete runs Insert, SearchTopK (both the
-// indexed and the sharded weighted-scan path), and Delete concurrently;
+// indexed and the weighted columnar path), and Delete concurrently;
 // under -race this is the engine's concurrency smoke test.
 func TestConcurrentInsertSearchDelete(t *testing.T) {
 	db := synthScanDB(t, 150)

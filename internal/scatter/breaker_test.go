@@ -221,9 +221,14 @@ func TestAttemptHedgedDoesNotLeakGoroutines(t *testing.T) {
 	}
 	close(release) // let the parked handlers finish server-side
 
+	// The winning replica's keep-alive connection legitimately parks three
+	// goroutines (the transport's read and write loops, the server's conn
+	// handler). Closing idle connections retires them, so whatever stays
+	// above the baseline is a hedged loser that never drained.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
+		sc.httpc.CloseIdleConnections()
+		if runtime.NumGoroutine() <= before {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

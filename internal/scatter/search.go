@@ -33,8 +33,8 @@ type Query struct {
 	// otherwise K bounds a top-k search.
 	Threshold *float64
 	K         int
-	// ScanMode is passed through to the shards ("", "auto", "exact",
-	// "two-stage"); every mode returns identical results.
+	// ScanMode is passed through to the shards ("auto", "exact" or
+	// "coarse"; see server.SearchRequest.ScanMode).
 	ScanMode string
 	// ExcludeID drops a shape from the merged results (query-by-id always
 	// retrieves the query shape itself).

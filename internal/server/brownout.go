@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"threedess/internal/core"
 )
 
 // Brownout serving: the binary admission gate becomes a ladder. As
@@ -17,7 +19,7 @@ import (
 // down through cheaper execution tiers instead of jumping straight from
 // "full service" to 429:
 //
-//	TierFull      exact search (two-stage or scan), results cached
+//	TierFull      exact search, results cached
 //	TierCoarse    quantized filter stage only, marked `X-Degraded: coarse`
 //	TierCacheOnly cached answers only (stale ones marked
 //	              `X-Degraded: cache-only`); cache misses shed
@@ -60,6 +62,20 @@ func (t Tier) String() string {
 	default:
 		return "full"
 	}
+}
+
+// coarseMode resolves the scan mode a search runs in at tier: the coarse
+// tier swaps ScanAuto for ScanCoarse, while an explicit "exact" is honored
+// (the client opted out of approximation). coarse reports whether the
+// filter stage will be the answer. Only weighted searches have a coarse
+// form — unweighted ones are answered exactly by the R-tree whatever the
+// mode says — so only then is a response marked `X-Degraded: coarse` and
+// kept out of the cache.
+func coarseMode(mode core.ScanMode, tier Tier, weights []float64) (_ core.ScanMode, coarse bool) {
+	if tier == TierCoarse && mode == core.ScanAuto {
+		mode = core.ScanCoarse
+	}
+	return mode, mode == core.ScanCoarse && len(weights) > 0
 }
 
 // Brownout defaults for Config fields left zero.

@@ -149,7 +149,7 @@ func TestTierFromPressure(t *testing.T) {
 // cache hit with the same ETag, If-None-Match answers 304, and a write
 // invalidates the entry.
 func TestSearchCacheFillHitETagInvalidation(t *testing.T) {
-	_, ts, db := brownoutServer(t, Config{}, 24)
+	api, ts, db := brownoutServer(t, Config{}, 24)
 	req := weightedQuery(5)
 
 	resp1, body1 := postSearch(t, ts.URL, req, nil)
@@ -183,16 +183,18 @@ func TestSearchCacheFillHitETagInvalidation(t *testing.T) {
 		t.Errorf("If-None-Match with current ETag: HTTP %d, want 304", resp3.StatusCode)
 	}
 
-	// Scan-mode aliases share one entry: "twostage" fills it, the
-	// canonical "two-stage" spelling hits it.
-	alias := req
-	alias.ScanMode = "twostage"
-	canonical := req
-	canonical.ScanMode = "two-stage"
-	postSearch(t, ts.URL, alias, nil)
-	rb, _ := postSearch(t, ts.URL, canonical, nil)
-	if got := rb.Header.Get(CacheHeader); got != "hit" {
-		t.Errorf("canonical spelling after alias fill: X-Cache = %q, want hit", got)
+	// One entry per answer: every spelling that promises the exact
+	// answer hits the entry the mode-less request filled.
+	for _, mode := range []string{"twostage", "two-stage", "exact", "auto", ""} {
+		alias := req
+		alias.ScanMode = mode
+		rb, body := postSearch(t, ts.URL, alias, nil)
+		if got := rb.Header.Get(CacheHeader); got != "hit" || !bytes.Equal(body, body1) {
+			t.Errorf("scan_mode %q: X-Cache = %q (want hit), body identical = %v", mode, got, bytes.Equal(body, body1))
+		}
+	}
+	if n := api.qcache.len(); n != 1 {
+		t.Errorf("one answer occupies %d cache entries", n)
 	}
 
 	// A mutation bumps the data version: the old ETag no longer matches
@@ -289,6 +291,13 @@ func TestCoarseTierMarksTruthfully(t *testing.T) {
 	resp, _ = postSearch(t, ts.URL, plain, nil)
 	if got := resp.Header.Get(DegradedHeader); got != "" {
 		t.Errorf("unweighted query degraded to %q", got)
+	}
+	// Asking for coarse by name changes nothing: the R-tree answered, so
+	// the answer is exact — unmarked, and the entry just filled serves it.
+	plain.ScanMode = "coarse"
+	resp, _ = postSearch(t, ts.URL, plain, nil)
+	if deg, xc := resp.Header.Get(DegradedHeader), resp.Header.Get(CacheHeader); deg != "" || xc != "hit" {
+		t.Errorf("unweighted scan_mode=coarse: X-Degraded %q, X-Cache %q; want unmarked cache hit", deg, xc)
 	}
 
 	// A coordinator's fan-out call (DMax set) must never be quietly
@@ -567,5 +576,15 @@ func TestCoordinatorCoarseTier(t *testing.T) {
 	resp, _ = postSearch(t, tc.coordURL, exact, nil)
 	if got := resp.Header.Get(DegradedHeader); got != "" {
 		t.Errorf("explicit exact cluster search degraded to %q", got)
+	}
+
+	// An unweighted search is answered exactly by every shard's R-tree
+	// even when it names coarse: unmarked and cacheable.
+	plain := weightedQuery(5)
+	plain.Weights = nil
+	plain.ScanMode = core.ScanCoarse.String()
+	resp, _ = postSearch(t, tc.coordURL, plain, nil)
+	if deg, xc := resp.Header.Get(DegradedHeader), resp.Header.Get(CacheHeader); deg != "" || xc != "fill" {
+		t.Errorf("unweighted scan_mode=coarse cluster search: X-Degraded %q, X-Cache %q; want unmarked fill", deg, xc)
 	}
 }

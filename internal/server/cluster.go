@@ -305,35 +305,18 @@ func (s *Server) clusterSearch(w http.ResponseWriter, r *http.Request, req Searc
 		k = 10
 	}
 	// Coarse tier: the whole fleet runs the filter stage only, and the
-	// merged answer carries one X-Degraded marking. Explicit exact
-	// requests opted out; unweighted queries are already cheap shard-side.
-	degraded := ""
-	scanMode := req.ScanMode
-	if mode == core.ScanCoarse {
-		degraded = DegradedCoarse
-	} else if tier == TierCoarse && len(req.Weights) > 0 && mode != core.ScanExact {
-		scanMode = core.ScanCoarse.String()
-		degraded = DegradedCoarse
-	}
+	// merged answer carries one X-Degraded marking.
+	mode, coarse := coarseMode(mode, tier, req.Weights)
 	q := scatter.Query{
 		Feature:   kind.String(),
 		Vector:    vec,
 		Weights:   req.Weights,
 		Threshold: req.Threshold,
 		K:         k,
-		ScanMode:  scanMode,
+		ScanMode:  mode.String(),
 		ExcludeID: req.QueryID,
 	}
 	out, err := coord.SearchBounds(r.Context(), q, b)
-	if err != nil && degraded != "" && mode != core.ScanCoarse && r.Context().Err() == nil {
-		// The tier forced coarse but the fleet cannot serve it (shards
-		// without a columnar slice surface the error): rerun the requested
-		// mode and drop the marking — an exact answer must never be
-		// labeled coarse, and vice versa.
-		degraded = ""
-		q.ScanMode = req.ScanMode
-		out, err = coord.SearchBounds(r.Context(), q, b)
-	}
 	if err != nil {
 		s.writeScatterErr(w, err)
 		return
@@ -343,15 +326,15 @@ func (s *Server) clusterSearch(w http.ResponseWriter, r *http.Request, req Searc
 	for i, res := range out.Results {
 		results[i] = SearchResult(res)
 	}
-	if degraded != "" {
-		w.Header().Set(DegradedHeader, degraded)
+	if coarse {
+		w.Header().Set(DegradedHeader, DegradedCoarse)
 	}
 	// Only exact, complete answers are cached (and thus ETagged): a
 	// partial merge must never be replayed as the corpus-wide truth, and
 	// a coarse one must never shadow the exact answer at the same key.
 	// SearchBounds may have re-collected bounds after a topology swap, so
 	// the tag is recomputed from the set the answer was actually built on.
-	if degraded == "" && len(out.Missing) == 0 && key != "" && b.Complete() {
+	if !coarse && len(out.Missing) == 0 && key != "" && b.Complete() {
 		version = b.VersionTag()
 		if body, merr := json.Marshal(results); merr == nil {
 			ent := s.qcache.put(key, version, append(body, '\n'))
@@ -641,7 +624,6 @@ func (s *Server) clusterStats(w http.ResponseWriter, r *http.Request) {
 		Role:   "coordinator",
 	}
 	var missing []string
-	modes := map[string]bool{}
 	featSet := map[string]bool{}
 	for i, err := range errs {
 		if err != nil {
@@ -659,23 +641,11 @@ func (s *Server) clusterStats(w http.ResponseWriter, r *http.Request) {
 		if st.MaxID > resp.MaxID {
 			resp.MaxID = st.MaxID
 		}
-		modes[st.ScanMode] = true
 	}
 	for f := range featSet {
 		resp.Features = append(resp.Features, f)
 	}
 	sort.Strings(resp.Features)
-	// The scan mode operators see is the fleet's: one value when the
-	// shards agree, "mixed" when they don't.
-	switch len(modes) {
-	case 0:
-	case 1:
-		for m := range modes {
-			resp.ScanMode = m
-		}
-	default:
-		resp.ScanMode = "mixed"
-	}
 	resp.Shards = coord.Health()
 	// Fleet-wide breaker pressure in one number: how many times any
 	// shard's circuit breaker tripped open since this coordinator started.

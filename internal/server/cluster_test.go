@@ -226,8 +226,8 @@ func TestClusterNilWeightsCanonicalized(t *testing.T) {
 	}
 }
 
-// Scan modes are an execution detail: exact and two-stage shard-side
-// execution must produce the same merged bits.
+// Every scan mode that promises the exact answer must produce the same
+// merged bits.
 func TestClusterScanModeEquivalence(t *testing.T) {
 	tc := newTestCluster(t, 3, fastPolicy(), false)
 	tc.seedSynthetic(t, 45)
@@ -235,7 +235,7 @@ func TestClusterScanModeEquivalence(t *testing.T) {
 	weights := []float64{1.5, 0.7, 1.1}
 	feature := features.PrincipalMoments.String()
 	var answers [][]SearchResult
-	for _, mode := range []string{"exact", "two-stage"} {
+	for _, mode := range []string{"exact", "two-stage", "auto"} {
 		res, err := tc.coordC.Search(SearchRequest{
 			QueryVector: qv, Feature: feature, K: 15, Weights: weights, ScanMode: mode,
 		})
@@ -244,8 +244,8 @@ func TestClusterScanModeEquivalence(t *testing.T) {
 		}
 		answers = append(answers, res)
 	}
-	if !reflect.DeepEqual(answers[0], answers[1]) {
-		t.Fatalf("exact vs two-stage cluster answers differ\nexact:     %+v\ntwo-stage: %+v", answers[0], answers[1])
+	if !reflect.DeepEqual(answers[0], answers[1]) || !reflect.DeepEqual(answers[0], answers[2]) {
+		t.Fatalf("exact, two-stage and auto cluster answers differ\n%+v", answers)
 	}
 	ref, err := tc.refC.Search(SearchRequest{QueryVector: qv, Feature: feature, K: 15, Weights: weights})
 	if err != nil {
@@ -435,7 +435,7 @@ func TestCoordinatorRefusesWholeCorpusEndpoints(t *testing.T) {
 }
 
 // Coordinator stats aggregate the fleet and surface the operator view:
-// role, per-shard health, agreed scan mode, and the global max id.
+// role, per-shard health, and the global max id.
 func TestClusterStatsAggregation(t *testing.T) {
 	tc := newTestCluster(t, 3, fastPolicy(), false)
 	tc.seedSynthetic(t, 30)
@@ -452,9 +452,6 @@ func TestClusterStatsAggregation(t *testing.T) {
 	if st.MaxID != 30 {
 		t.Errorf("max id = %d, want 30", st.MaxID)
 	}
-	if st.ScanMode == "" || st.ScanMode == "mixed" {
-		t.Errorf("scan mode = %q, want the fleet's agreed mode", st.ScanMode)
-	}
 	if len(st.Shards) != 3 {
 		t.Fatalf("%d shard health rows, want 3", len(st.Shards))
 	}
@@ -466,13 +463,10 @@ func TestClusterStatsAggregation(t *testing.T) {
 			t.Errorf("%s unhealthy in a fault-free cluster: %+v", sh.Name, sh)
 		}
 	}
-	// A plain shard's stats carry its role and scan mode too.
+	// A standalone node's stats carry no cluster role.
 	shardStats, err := tc.refC.Stats()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if shardStats.ScanMode == "" {
-		t.Error("single-node stats missing scan_mode")
 	}
 	if shardStats.Role != "" {
 		t.Errorf("standalone node reports role %q", shardStats.Role)

@@ -16,8 +16,8 @@ import (
 )
 
 // Query-result cache: exact search answers keyed on the full request
-// semantics (descriptor/query, weights, k, threshold, scan mode), tagged
-// with the data version they were computed at. A hit at the current
+// semantics (descriptor/query, weights, k, threshold), tagged with the
+// data version they were computed at. A hit at the current
 // version is byte-identical to re-running the search, so it can serve
 // with an ETag and no degradation marking; a stale hit is only served
 // under brownout, explicitly marked `X-Degraded: cache-only`. Entries are
@@ -204,13 +204,13 @@ func (s *Server) searchCacheKey(req SearchRequest) string {
 		return ""
 	}
 	mode, err := core.ParseScanMode(req.ScanMode)
-	if err != nil || mode == core.ScanCoarse {
+	if _, coarse := coarseMode(mode, TierFull, req.Weights); err != nil || coarse {
 		// Unknown modes never reach the engine; coarse answers are
 		// approximate and must not shadow exact ones.
 		return ""
 	}
 	norm := req
-	norm.ScanMode = mode.String() // "twostage" and "two-stage" are one key
+	norm.ScanMode = "" // every spelling of an exact answer is one key
 	if norm.K <= 0 && norm.Threshold == nil {
 		norm.K = 10 // the handler's default, applied so explicit 10 matches
 	}

@@ -239,10 +239,12 @@ type SearchRequest struct {
 	Threshold *float64  `json:"threshold,omitempty"` // threshold search when set
 	K         int       `json:"k,omitempty"`         // top-k search otherwise (default 10)
 	Weights   []float64 `json:"weights,omitempty"`
-	// ScanMode picks how a weighted search executes: "auto" (default,
-	// engine decides), "exact" (exhaustive scan — the escape hatch), or
-	// "two-stage" (columnar filter-and-refine). Results are identical in
-	// every mode.
+	// ScanMode says what a weighted search may be answered with: "" /
+	// "auto" (the exact answer, which a browned-out server may replace
+	// with the coarse one, marked X-Degraded), "exact" (the exact answer,
+	// opting out of the coarse tier), or "coarse" (the approximate
+	// filter-stage answer, always marked). "two-stage" and its spellings
+	// are accepted as "auto". Unweighted searches ignore it.
 	ScanMode string `json:"scan_mode,omitempty"`
 	// DMax overrides the Equation-4.4 similarity normalizer (nil = derive
 	// from this node's corpus). A coordinator passes the cluster-global
@@ -315,14 +317,13 @@ type BrowseNodeJSON struct {
 }
 
 // StatsResponse reports database statistics plus the operator-facing
-// execution view: which scan mode serves weighted queries, this node's
-// cluster role, the highest id ever assigned (the seed for a
-// coordinator's id allocator), and — on a coordinator — per-shard health.
+// execution view: this node's cluster role, the highest id ever assigned
+// (the seed for a coordinator's id allocator), and — on a coordinator —
+// per-shard health.
 type StatsResponse struct {
 	Shapes   int                   `json:"shapes"`
 	Groups   map[string]int        `json:"group_sizes"`
 	Features []string              `json:"features"`
-	ScanMode string                `json:"scan_mode,omitempty"`
 	Role     string                `json:"role,omitempty"`
 	MaxID    int64                 `json:"max_id"`
 	Shards   []scatter.ShardHealth `json:"shards,omitempty"`
@@ -769,39 +770,21 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if k <= 0 {
 		k = 10
 	}
-	// The coarse tier swaps the scan mode under the request: the two-stage
-	// filter stage becomes the answer, marked X-Degraded. An explicit
-	// exact request is honored (the client opted out of approximation),
-	// and unweighted queries already serve cheaply through the R-tree.
-	degraded := ""
-	effMode := mode
-	if mode == core.ScanCoarse {
-		degraded = DegradedCoarse
-	} else if tier == TierCoarse && !internal && len(req.Weights) > 0 && mode != core.ScanExact {
-		effMode = core.ScanCoarse
-		degraded = DegradedCoarse
+	if internal {
+		tier = TierFull // the coordinator decides degradation, not its shards
 	}
-	run := func(m core.ScanMode) ([]core.Result, error) {
-		if req.Threshold != nil {
-			return s.engine.SearchThreshold(r.Context(), query, core.Options{
-				Feature: kind, Threshold: *req.Threshold, Weights: req.Weights, Mode: m, DMax: dmax,
-			})
-		}
-		fetch := k
+	mode, coarse := coarseMode(mode, tier, req.Weights)
+	opt := core.Options{Feature: kind, Weights: req.Weights, Mode: mode, DMax: dmax}
+	var results []core.Result
+	if req.Threshold != nil {
+		opt.Threshold = *req.Threshold
+		results, err = s.engine.SearchThreshold(r.Context(), query, opt)
+	} else {
+		opt.K = k
 		if req.QueryID != 0 {
-			fetch++ // absorb the query shape, which is always retrieved
+			opt.K++ // absorb the query shape, which is always retrieved
 		}
-		return s.engine.SearchTopK(r.Context(), query, core.Options{
-			Feature: kind, K: fetch, Weights: req.Weights, Mode: m, DMax: dmax,
-		})
-	}
-	results, err := run(effMode)
-	if err != nil && degraded != "" && mode != core.ScanCoarse && r.Context().Err() == nil {
-		// The brownout tier forced coarse but the columnar store cannot
-		// serve it: run the requested mode and drop the degraded marking —
-		// an exact answer must never be labeled coarse, and vice versa.
-		degraded = ""
-		results, err = run(mode)
+		results, err = s.engine.SearchTopK(r.Context(), query, opt)
 	}
 	if err != nil {
 		writeEngineErr(w, err, http.StatusUnprocessableEntity)
@@ -814,10 +797,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		results = results[:k]
 	}
 	wire := toWireResults(results)
-	if degraded != "" {
+	if coarse {
 		// Approximate answers are marked and never cached: the cache
 		// stores only what an exact scan would return.
-		w.Header().Set(DegradedHeader, degraded)
+		w.Header().Set(DegradedHeader, DegradedCoarse)
 		writeJSON(w, http.StatusOK, wire)
 		return
 	}
@@ -984,11 +967,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	db := s.engine.DB()
 	snap := db.Snapshot()
 	resp := StatsResponse{
-		Shapes:   len(snap),
-		Groups:   map[string]int{},
-		ScanMode: s.engine.SearchMode().String(),
-		Role:     s.clusterRoleName(),
-		MaxID:    db.MaxID(),
+		Shapes: len(snap),
+		Groups: map[string]int{},
+		Role:   s.clusterRoleName(),
+		MaxID:  db.MaxID(),
 	}
 	for _, rec := range snap {
 		resp.Groups[strconv.Itoa(rec.Group)]++

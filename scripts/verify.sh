@@ -1,7 +1,7 @@
 #!/bin/sh
 # Verification gate: build everything, run the full test suite, then run
 # the race detector over the packages with concurrent paths (the store,
-# the engine's sharded scans / batch ingest, and the overlapped feature
+# the engine's columnar scans / batch ingest, and the overlapped feature
 # extraction). CI and pre-commit should run exactly this.
 set -eux
 
@@ -10,13 +10,17 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test ./...
+# Frozen-benchmark gate: bench/ is a nested module that the root build
+# never compiles, so an internal API it uses can break unnoticed. Vet it
+# and run its short tests against this tree.
+go -C bench vet ./...
+go -C bench test -short ./...
+# Weighted-search gate (core, colstore): the brute-force equivalence
+# table, the coarse-bound safety property, and the columnar-store
+# coherence test (CommitNotify-driven refresh under concurrent mutation),
+# with the race detector, never cached.
 go test -race -count=1 ./internal/shapedb/... ./internal/core/... ./internal/features/...
-# Two-stage search gate: the exact-vs-two-stage equivalence suite, the
-# coarse-bound safety property, and the columnar-store coherence test
-# (CommitNotify-driven refresh under concurrent mutation), with the race
-# detector, never cached.
 go test -race -count=1 ./internal/colstore/...
-go test -race -count=1 -run 'TwoStage|CoarseBound|ScanWorker' ./internal/core/... ./internal/colstore/...
 # Benchrunner smoke: the perf figure at toy sizes must produce a
 # BENCH_perf.json that parses with every expected series.
 BENCH_SMOKE="$(mktemp -d)"
@@ -64,10 +68,9 @@ go test -run '^$' -fuzz '^FuzzReadSTL$' -fuzztime 5s ./internal/geom
 # + latency EWMA, truthful X-Degraded marking, the no-read-5xx churn
 # property), the result cache (ETag revalidation, bit-identical hits,
 # partial cluster answers never cached, coordinator write invalidation),
-# bounded-staleness replica reads with the read-split client, and the
-# scatter circuit breaker (open/half-open/close, probe recovery, hedge
-# goroutine hygiene), under the race detector, never cached.
-go test -race -count=1 -run 'Breaker|Probe|AttemptHedged' ./internal/scatter/...
+# and bounded-staleness replica reads with the read-split client, under
+# the race detector, never cached. (The scatter circuit breaker and the
+# hedge goroutine hygiene test ran raced in the cluster gate.)
 go test -race -count=1 -run 'Tier|Cache|Brownout|Partial|Staleness|ReadSplit|StandbyRefuses|ReplicaReads|ETag' ./internal/server/...
 # Rebalance gate: versioned ring-epoch transitions and fencing (the
 # scatter package already ran raced above), the migration primitives
