@@ -382,6 +382,11 @@ func TestRestoreSearchEquivalence(t *testing.T) {
 	if _, err := db.DeleteMany(ids[1:3]); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
+	// Delete the current extreme point (base 0, the low corner of every
+	// kind's box) before compacting, so the restored journal never saw it.
+	if _, err := db.Delete(ids[0]); err != nil {
+		t.Fatalf("delete the extreme point: %v", err)
+	}
 	if err := db.Compact(); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
@@ -408,17 +413,32 @@ func TestRestoreSearchEquivalence(t *testing.T) {
 		for i := range weights {
 			weights[i] = 1 + float64(i%3) // non-uniform: the weighted scan path
 		}
-		opt := core.Options{Feature: k, K: 8, Weights: weights}
-		want, err := srcEng.SearchTopK(context.Background(), query, opt)
-		if err != nil {
-			t.Fatalf("%v: source search: %v", k, err)
+		opt := core.Options{Feature: k, K: 8, Weights: weights, Threshold: 0.6}
+		for name, search := range map[string]func(*core.Engine, context.Context, features.Set, core.Options) ([]core.Result, error){
+			"top-k": (*core.Engine).SearchTopK, "threshold": (*core.Engine).SearchThreshold,
+		} {
+			want, err := search(srcEng, context.Background(), query, opt)
+			if err != nil || len(want) == 0 {
+				t.Fatalf("%v: source %s search: %d results, %v", k, name, len(want), err)
+			}
+			got, err := search(dstEng, context.Background(), query, opt)
+			if err != nil {
+				t.Fatalf("%v: restored %s search: %v", k, name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: weighted %s search diverged after restore:\nsrc: %+v\ndst: %+v", k, name, want, got)
+			}
 		}
-		got, err := dstEng.SearchTopK(context.Background(), query, opt)
+		srcSt, err := srcEng.ColStore().Store(k)
 		if err != nil {
-			t.Fatalf("%v: restored search: %v", k, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: weighted search diverged after restore:\nsrc: %+v\ndst: %+v", k, want, got)
+		dstSt, err := dstEng.ColStore().Store(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srcSt.DMax() != dstSt.DMax() {
+			t.Fatalf("%v: DMax %v after restore, %v at the source", k, dstSt.DMax(), srcSt.DMax())
 		}
 	}
 }

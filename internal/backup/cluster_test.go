@@ -1,10 +1,17 @@
 package backup
 
 import (
+	"context"
 	"errors"
+	"math"
+	"reflect"
+	"sort"
 	"testing"
 
+	"threedess/internal/colstore"
+	"threedess/internal/core"
 	"threedess/internal/faultfs"
+	"threedess/internal/features"
 	"threedess/internal/scatter"
 	"threedess/internal/shapedb"
 )
@@ -35,9 +42,61 @@ func seedSharded(t *testing.T, shards, n int) ([]*shapedb.DB, []int64) {
 	return dbs, ids
 }
 
+// clusterThreshold answers a weighted threshold query over shard DBs the
+// way a coordinator does: the shards' live-row boxes merge elementwise
+// into one, every shard normalizes by its diagonal, and the partial
+// answers merge in (distance, id) order.
+func clusterThreshold(t *testing.T, dbs []*shapedb.DB, query features.Set, w []float64, th float64) (float64, []core.Result) {
+	t.Helper()
+	const kind = features.PrincipalMoments
+	var lo, hi []float64
+	engines := make([]*core.Engine, len(dbs))
+	for i, db := range dbs {
+		engines[i] = core.NewEngine(db)
+		st, err := engines[i].ColStore().Store(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, h, ok := st.Bounds()
+		switch {
+		case !ok:
+		case lo == nil:
+			lo, hi = l, h
+		default:
+			for d := range lo {
+				lo[d], hi[d] = math.Min(lo[d], l[d]), math.Max(hi[d], h[d])
+			}
+		}
+	}
+	dmax := colstore.Diagonal(lo, hi)
+	var out []core.Result
+	for _, e := range engines {
+		res, err := e.SearchThreshold(context.Background(), query, core.Options{Feature: kind, Weights: w, Threshold: th, DMax: dmax})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, res...)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Distance != out[j].Distance {
+			return out[i].Distance < out[j].Distance
+		}
+		return out[i].ID < out[j].ID
+	})
+	return dmax, out
+}
+
 func TestClusterBackupRestoreReshards(t *testing.T) {
 	const n = 40
 	srcDBs, ids := seedSharded(t, 4, n)
+	// Delete the current extreme point (id n carries the largest vector)
+	// before the backup: the restored fleet never holds it, so its box,
+	// and every similarity normalized by it, must not remember it either.
+	ring4, _ := scatter.NewRing(4)
+	if _, err := srcDBs[ring4.Owner(n)].Delete(n); err != nil {
+		t.Fatal(err)
+	}
+	ids = ids[:n-1]
 
 	srcs := make([]Source, len(srcDBs))
 	for i, db := range srcDBs {
@@ -61,8 +120,18 @@ func TestClusterBackupRestoreReshards(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster restore: %v", err)
 	}
-	if total != n {
-		t.Fatalf("restored %d records, want %d", total, n)
+	if total != n-1 {
+		t.Fatalf("restored %d records, want %d", total, n-1)
+	}
+	query := fixedSet(srcDBs[0].Options(), 17.5)
+	w := []float64{1.5, 0.5, 1}
+	srcDMax, want := clusterThreshold(t, srcDBs, query, w, 0.7)
+	dstDMax, got := clusterThreshold(t, dstDBs, query, w, 0.7)
+	if srcDMax != dstDMax {
+		t.Fatalf("cluster DMax %v after the 4→6 restore, %v at the source", dstDMax, srcDMax)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("threshold answer diverged across the 4→6 restore\nsrc: %+v\ndst: %+v", want, got)
 	}
 
 	// Every record landed on its 6-ring owner, byte-equivalent in
@@ -71,7 +140,6 @@ func TestClusterBackupRestoreReshards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring4, _ := scatter.NewRing(4)
 	for _, id := range ids {
 		dst := dstDBs[ring6.Owner(id)]
 		rec, ok := dst.Get(id)

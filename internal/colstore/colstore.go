@@ -88,6 +88,12 @@ type Store struct {
 	qlo   []float64
 	qstep []float64
 
+	// lo/hi is the bounding box of exactly these rows, the Equation-4.4
+	// normalizer's input. Unlike the grid it is never shared: an append
+	// extends a copy, and a delete rebuilds. All zero when there are no
+	// rows.
+	lo, hi []float64
+
 	// tree is an STR-packed R-tree over rows [0, treeRows) used only to
 	// seed the top-k pruning bound. After an incremental append it covers
 	// a prefix of the store; nil when the kind has no rows.
@@ -106,6 +112,39 @@ func (s *Store) Len() int { return len(s.ids) }
 
 // Version returns the DB mutation counter the snapshot was taken at.
 func (s *Store) Version() int64 { return s.version }
+
+// Bounds returns copies of the bounding box (lo, hi) of the store's rows,
+// or ok=false when it has none. A cluster coordinator merges per-shard
+// boxes elementwise into the global box, whose Diagonal equals the DMax
+// of one store holding every row.
+func (s *Store) Bounds() (lo, hi []float64, ok bool) {
+	if len(s.ids) == 0 {
+		return nil, nil, false
+	}
+	return append([]float64(nil), s.lo...), append([]float64(nil), s.hi...), true
+}
+
+// DMax is the normalizer of Equation 4.4, "the maximum distance of points
+// in the feature space": the Diagonal of the store's own bounding box. It
+// is a function of the live rows alone, so every replay, compaction,
+// restore or migration that reproduces the rows reproduces it.
+func (s *Store) DMax() float64 { return Diagonal(s.lo, s.hi) }
+
+// Diagonal is the length of the box (lo, hi): squared extents summed in
+// dimension order, one square root, floored at 1e-12 so a similarity never
+// divides by zero. Store.DMax and the cluster coordinator's merged box
+// both go through it, which is what makes them bit-identical.
+func Diagonal(lo, hi []float64) float64 {
+	sum := 0.0
+	for i := range lo {
+		d := hi[i] - lo[i]
+		sum += d * d
+	}
+	if d := math.Sqrt(sum); d > 1e-12 {
+		return d
+	}
+	return 1e-12
+}
 
 // IDs returns a copy of the id column.
 func (s *Store) IDs() []int64 {
@@ -149,6 +188,8 @@ func build(kind features.Kind, dim int, recs []*shapedb.Record, version int64, p
 		qcols:   make([][]uint8, dim),
 		qlo:     make([]float64, dim),
 		qstep:   make([]float64, dim),
+		lo:      make([]float64, dim),
+		hi:      make([]float64, dim),
 	}
 	for d := 0; d < dim; d++ {
 		s.cols[d] = make([]float64, len(rows))
@@ -202,6 +243,8 @@ func (s *Store) appendRows(rows []*shapedb.Record, version int64) (*Store, error
 		qcols:    make([][]uint8, s.dim),
 		qlo:      s.qlo,
 		qstep:    s.qstep,
+		lo:       append([]float64(nil), s.lo...),
+		hi:       append([]float64(nil), s.hi...),
 		tree:     s.tree,
 		treeRows: s.treeRows,
 	}
@@ -222,13 +265,19 @@ func (s *Store) appendRows(rows []*shapedb.Record, version int64) (*Store, error
 		for d := 0; d < ns.dim; d++ {
 			ns.cols[d][i] = v[d]
 			ns.qcols[d][i] = ns.quantize(d, v[d])
+			if i == 0 || v[d] < ns.lo[d] {
+				ns.lo[d] = v[d]
+			}
+			if i == 0 || v[d] > ns.hi[d] {
+				ns.hi[d] = v[d]
+			}
 		}
 	}
 	return ns, nil
 }
 
-// buildGrid derives dimension d's quantization grid from its column and
-// fills the byte column.
+// buildGrid finds dimension d's extent, derives the quantization grid
+// from it, and fills the byte column.
 func (s *Store) buildGrid(d int) {
 	col := s.cols[d]
 	if len(col) == 0 {
@@ -244,6 +293,7 @@ func (s *Store) buildGrid(d int) {
 			hi = v
 		}
 	}
+	s.lo[d], s.hi[d] = lo, hi
 	s.qlo[d] = lo
 	s.qstep[d] = (hi - lo) / qCells
 	qc := s.qcols[d]

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -262,6 +263,113 @@ func (c *trippingCtx) Err() error {
 		return context.Canceled
 	}
 	return nil
+}
+
+// rebuilt builds kind's store from db's current snapshot with no parent:
+// the from-scratch reference an appended store's box must equal.
+func rebuilt(t *testing.T, db *shapedb.DB) *Store {
+	t.Helper()
+	recs, ver := db.SnapshotVersion()
+	st, err := build(testKind, db.Options().Dim(testKind), recs, ver, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestDMax pins the Equation-4.4 normalizer to the live rows: the diagonal
+// of the box of exactly the snapshot's rows, bit-identical whether the
+// store was appended to (from empty, within the grid, far outside it) or
+// rebuilt, and shrinking when a delete removes the extreme point.
+func TestDMax(t *testing.T) {
+	db := openDB(t, "")
+	mgr := NewManager(db)
+	steps := []struct {
+		name   string
+		mutate func() int64
+		want   float64
+		append bool // the manager must have taken the append path
+	}{
+		{"empty", func() int64 { return 0 }, 1e-12, false},
+		{"append to empty", func() int64 { return insertVec(t, db, features.Vector{0, 0, 0}) }, 1e-12, true},
+		{"append in grid", func() int64 { return insertVec(t, db, features.Vector{10, 10, 10}) }, math.Sqrt(300), true},
+		{"append out of grid", func() int64 { return insertVec(t, db, features.Vector{40, 10, 10}) }, math.Sqrt(1600 + 100 + 100), true},
+	}
+	var prev *Store
+	var extreme int64
+	for _, step := range steps {
+		if id := step.mutate(); id != 0 {
+			extreme = id
+		}
+		st, err := mgr.Store(testKind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if appended := prev != nil && st.tree == prev.tree && st.Len() > prev.Len(); appended != step.append {
+			t.Fatalf("%s: appended = %v, want %v", step.name, appended, step.append)
+		}
+		if got := st.DMax(); got != step.want {
+			t.Errorf("%s: DMax = %v, want %v", step.name, got, step.want)
+		}
+		if got, ref := st.DMax(), rebuilt(t, db).DMax(); got != ref {
+			t.Errorf("%s: DMax %v, rebuilt store's %v", step.name, got, ref)
+		}
+		prev = st
+	}
+	if _, err := db.Delete(extreme); err != nil {
+		t.Fatal(err)
+	}
+	st, err := mgr.Store(testKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.DMax(); got != math.Sqrt(300) {
+		t.Errorf("after deleting the extreme point: DMax = %v, want %v", got, math.Sqrt(300))
+	}
+}
+
+// TestBounds checks the box itself: per-dimension extremes of the live
+// rows, extended by appends without touching the parent snapshot's box,
+// handed out as copies, and absent for a store with no rows.
+func TestBounds(t *testing.T) {
+	db := openDB(t, "")
+	mgr := NewManager(db)
+	st, err := mgr.Store(testKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi, ok := st.Bounds(); ok || lo != nil || hi != nil {
+		t.Errorf("empty store Bounds = %v, %v, %v", lo, hi, ok)
+	}
+	insertVec(t, db, features.Vector{1, 5, -2})
+	insertVec(t, db, features.Vector{3, 4, 7})
+	parent, err := mgr.Store(testKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertVec(t, db, features.Vector{-8, 4.5, 0})
+	child, err := mgr.Store(testKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		st     *Store
+		lo, hi []float64
+	}{
+		{"parent", parent, []float64{1, 4, -2}, []float64{3, 5, 7}},
+		{"appended child", child, []float64{-8, 4, -2}, []float64{3, 5, 7}},
+		{"rebuilt child", rebuilt(t, db), []float64{-8, 4, -2}, []float64{3, 5, 7}},
+	} {
+		lo, hi, ok := c.st.Bounds()
+		if !ok || !reflect.DeepEqual(lo, c.lo) || !reflect.DeepEqual(hi, c.hi) {
+			t.Errorf("%s: Bounds = %v, %v, %v; want %v, %v", c.name, lo, hi, ok, c.lo, c.hi)
+		}
+		lo[0], hi[0] = math.Inf(-1), math.Inf(1)
+		if again, _, _ := c.st.Bounds(); again[0] != c.lo[0] {
+			t.Errorf("%s: Bounds handed out the store's own slice", c.name)
+		}
+	}
 }
 
 func TestSearchHonorsCancellationBetweenBlocks(t *testing.T) {

@@ -86,11 +86,12 @@ type Options struct {
 	// ScanExact return the exact answer, ScanCoarse the approximate
 	// filter-stage answer of the brownout tier.
 	Mode ScanMode
-	// DMax overrides the Equation-4.4 normalizer (0 = derive it from this
-	// database's feature-space bounding box, the default). A scatter-gather
-	// coordinator passes the cluster-global diagonal here so every shard's
-	// similarity values — and threshold cutoffs — agree with a single node
-	// holding the whole corpus.
+	// DMax overrides the Equation-4.4 normalizer (0 = the default: the
+	// bounding-box diagonal of the live rows of the column snapshot the
+	// search ranks). A scatter-gather coordinator passes the diagonal of
+	// the merged per-shard boxes here so every shard's similarity values —
+	// and threshold cutoffs — agree with a single node holding the whole
+	// live corpus.
 	DMax float64
 }
 
@@ -154,16 +155,6 @@ func (e *Engine) checkOptions(opt *Options, query features.Set) (features.Vector
 	return qv, nil
 }
 
-// dmax resolves the Equation-4.4 normalizer for a search: the explicit
-// override when one was supplied, the database's own bounding-box diagonal
-// otherwise.
-func (e *Engine) dmax(opt Options) float64 {
-	if opt.DMax > 0 {
-		return opt.DMax
-	}
-	return e.db.DMax(opt.Feature)
-}
-
 // ExtractQuery runs feature extraction on a query mesh for the given
 // kinds (nil = the four core descriptors).
 func (e *Engine) ExtractQuery(mesh *geom.Mesh, kinds []features.Kind) (features.Set, error) {
@@ -198,18 +189,61 @@ func (e *Engine) SearchThreshold(ctx context.Context, query features.Set, opt Op
 	if opt.Threshold < 0 || opt.Threshold > 1 {
 		return nil, fmt.Errorf("core: threshold %g outside [0, 1]", opt.Threshold)
 	}
-	dmax := e.dmax(opt)
+	st, err := e.cstore.Store(opt.Feature)
+	if err != nil {
+		return nil, err
+	}
+	return e.searchThreshold(ctx, st, qv, opt)
+}
+
+// searchThreshold answers a threshold search from the snapshot st,
+// normalized by opt.DMax or, when that is 0, by st's own DMax. Weighted
+// searches scan st's columns: the prune radius converts the threshold
+// through Equation 4.4 with a hair of slack (the answer is defined on
+// similarities, not distances, and the two predicates can disagree by an
+// ulp at the boundary), and every survivor is then re-checked with the
+// similarity predicate itself. Coarse distances are lower bounds, so a
+// coarse answer can only over-include relative to the exact one, never
+// miss.
+func (e *Engine) searchThreshold(ctx context.Context, st *colstore.Store, qv features.Vector, opt Options) ([]Result, error) {
+	dmax := opt.DMax
+	if dmax == 0 {
+		dmax = st.DMax()
+	}
 	if opt.Weights == nil {
 		// Equation 4.4: similarity ≥ t ⇔ distance ≤ (1−t)·dmax. Serve
 		// through the index.
-		radius := (1 - opt.Threshold) * dmax
-		nn, err := e.db.WithinRadius(opt.Feature, qv, radius)
+		nn, err := e.db.WithinRadius(opt.Feature, qv, (1-opt.Threshold)*dmax)
 		if err != nil {
 			return nil, err
 		}
-		return e.toResults(nn, dmax), nil
+		if out, ok := e.indexResults(st, nn, dmax); ok {
+			return out, nil
+		}
+		opt.Mode = ScanExact // the index answer is exact; so is its stand-in
 	}
-	return e.weightedThreshold(ctx, opt.Feature, qv, opt.Weights, opt.Threshold, dmax, opt.Mode == ScanCoarse)
+	radius := math.Inf(1)
+	if opt.Threshold > 0 {
+		// Relative slack covers d ≤ (1−t)·dmax rounding; the additive
+		// dmax term covers thresholds so close to 1 that tiny distances
+		// still round to similarity 1.
+		radius = (1-opt.Threshold)*dmax*(1+1e-9) + dmax*1e-12
+	}
+	search := st.SearchRadius
+	if opt.Mode == ScanCoarse {
+		search = st.SearchCoarseRadius
+	}
+	cands, _, err := search(ctx, qv, opt.Weights, radius, e.workers)
+	if err != nil {
+		return nil, err
+	}
+	var out []Result
+	for _, c := range cands {
+		if r := batchResult(c.Rec, c.Dist, dmax); r.Similarity >= opt.Threshold {
+			out = append(out, r)
+		}
+	}
+	return out, nil
 }
 
 // SearchTopK returns the opt.K most similar shapes, most similar first.
@@ -226,15 +260,46 @@ func (e *Engine) SearchTopK(ctx context.Context, query features.Set, opt Options
 	if opt.K <= 0 {
 		return nil, fmt.Errorf("core: K must be positive, got %d", opt.K)
 	}
-	dmax := e.dmax(opt)
+	st, err := e.cstore.Store(opt.Feature)
+	if err != nil {
+		return nil, err
+	}
+	return e.searchTopK(ctx, st, qv, opt)
+}
+
+// searchTopK answers a top-k search from the snapshot st, normalized by
+// opt.DMax or, when that is 0, by st's own DMax. Exact weighted results
+// are bit-identical to ranking every row of st by WeightedDistance — same
+// rows, same (distance, id) order, same distances.
+func (e *Engine) searchTopK(ctx context.Context, st *colstore.Store, qv features.Vector, opt Options) ([]Result, error) {
+	dmax := opt.DMax
+	if dmax == 0 {
+		dmax = st.DMax()
+	}
 	if opt.Weights == nil {
 		nn, err := e.db.KNN(opt.Feature, qv, opt.K)
 		if err != nil {
 			return nil, err
 		}
-		return e.toResults(nn, dmax), nil
+		if out, ok := e.indexResults(st, nn, dmax); ok {
+			return out, nil
+		}
+		opt.Mode = ScanExact // the index answer is exact; so is its stand-in
 	}
-	return e.weightedTopK(ctx, opt.Feature, qv, opt.Weights, opt.K, dmax, opt.Mode == ScanCoarse)
+	search := st.SearchTopK
+	if opt.Mode == ScanCoarse {
+		search = st.SearchCoarseTopK
+	}
+	cands, _, err := search(ctx, qv, opt.Weights, opt.K, e.workers)
+	if err != nil {
+		return nil, err
+	}
+	// var (not make) so an empty result is nil.
+	var out []Result
+	for _, c := range cands {
+		out = append(out, batchResult(c.Rec, c.Dist, dmax))
+	}
+	return out, nil
 }
 
 // sortResults orders by ascending distance, breaking ties by ID — the
@@ -248,29 +313,66 @@ func sortResults(out []Result) {
 	})
 }
 
-// toResults resolves neighbor IDs to result rows with one GetMany lock
-// round-trip instead of a Get per neighbor.
-func (e *Engine) toResults(nn []rtree.Neighbor, dmax float64) []Result {
+// indexResults resolves the R-tree's neighbors to result rows with one
+// GetMany lock round-trip, normalized by dmax from st. The live index is
+// not st, so the answer stands only when no commit landed since st was
+// taken: versions only grow, so an unchanged version after GetMany means
+// the index, the records and st's box were all one state. ok=false sends
+// the caller to st's own scan instead.
+func (e *Engine) indexResults(st *colstore.Store, nn []rtree.Neighbor, dmax float64) (out []Result, ok bool) {
 	ids := make([]int64, len(nn))
 	for i, n := range nn {
 		ids[i] = n.ID
 	}
 	recs := e.db.GetMany(ids)
-	out := make([]Result, 0, len(nn))
+	if e.db.Version() != st.Version() {
+		return nil, false
+	}
+	out = make([]Result, len(nn))
 	for i, n := range nn {
-		rec := recs[i]
-		if rec == nil {
-			continue
+		out[i] = batchResult(recs[i], n.Dist, dmax)
+	}
+	return out, true
+}
+
+// rowsOf is GetMany against the snapshot st: st's records with the given
+// ids, nil where st has no such row. Scoring that is normalized by st's
+// box reads its records here, so the two are one state.
+func rowsOf(st *colstore.Store, ids []int64) []*shapedb.Record {
+	recs := st.Records()
+	out := make([]*shapedb.Record, len(ids))
+	for i, id := range ids {
+		j := sort.Search(len(recs), func(j int) bool { return recs[j].ID >= id })
+		if j < len(recs) && recs[j].ID == id {
+			out[i] = recs[j]
 		}
-		out = append(out, Result{
-			ID:         n.ID,
-			Name:       rec.Name,
-			Group:      rec.Group,
-			Distance:   n.Dist,
-			Similarity: Similarity(n.Dist, dmax),
-		})
 	}
 	return out
+}
+
+// sameVersionStores returns one column snapshot per kind, all taken at
+// the same DB version, so rows read from any of them and every box they
+// carry describe one state. A commit landing between two Store calls
+// splits the versions and the round is retried until ctx is done.
+func (e *Engine) sameVersionStores(ctx context.Context, kinds []features.Kind) ([]*colstore.Store, error) {
+	sts := make([]*colstore.Store, len(kinds))
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		same := true
+		for i, kind := range kinds {
+			st, err := e.cstore.Store(kind)
+			if err != nil {
+				return nil, err
+			}
+			sts[i] = st
+			same = same && st.Version() == sts[0].Version()
+		}
+		if same {
+			return sts, nil
+		}
+	}
 }
 
 // ExcludeID filters a result list in place, dropping the given id (used to

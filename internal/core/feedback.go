@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"threedess/internal/colstore"
 	"threedess/internal/features"
 )
 
@@ -40,14 +41,19 @@ func (e *Engine) ReconstructQuery(query features.Set, kind features.Kind, fb Fee
 	if len(fb.Relevant) == 0 && len(fb.Irrelevant) == 0 {
 		return query.Clone(), nil
 	}
-	relMean, err := e.meanVector(kind, fb.Relevant)
+	st, err := e.cstore.Store(kind)
 	if err != nil {
 		return nil, err
 	}
-	irrMean, err := e.meanVector(kind, fb.Irrelevant)
+	rel, err := vectorsOf(st, fb.Relevant)
 	if err != nil {
 		return nil, err
 	}
+	irr, err := vectorsOf(st, fb.Irrelevant)
+	if err != nil {
+		return nil, err
+	}
+	relMean, irrMean := meanVector(rel), meanVector(irr)
 	out := query.Clone()
 	nv := make(features.Vector, len(qv))
 	for i := range qv {
@@ -63,35 +69,34 @@ func (e *Engine) ReconstructQuery(query features.Set, kind features.Kind, fb Fee
 	return out, nil
 }
 
-// meanVector averages the stored vectors of the given shapes (nil for an
-// empty id list).
-func (e *Engine) meanVector(kind features.Kind, ids []int64) (features.Vector, error) {
-	if len(ids) == 0 {
-		return nil, nil
+// vectorsOf returns the stored vectors of the given shapes as rows of the
+// snapshot st, so any normalizer taken from st describes the same state.
+func vectorsOf(st *colstore.Store, ids []int64) ([]features.Vector, error) {
+	out := make([]features.Vector, len(ids))
+	for i, rec := range rowsOf(st, ids) {
+		if rec == nil {
+			return nil, fmt.Errorf("core: feedback references shape %d, which is unknown or has no %v vector", ids[i], st.Kind())
+		}
+		out[i] = rec.Features[st.Kind()]
 	}
-	var mean features.Vector
-	count := 0
-	for _, id := range ids {
-		rec, ok := e.db.Get(id)
-		if !ok {
-			return nil, fmt.Errorf("core: feedback references unknown shape %d", id)
-		}
-		v, ok := rec.Features[kind]
-		if !ok {
-			return nil, fmt.Errorf("core: shape %d has no %v vector", id, kind)
-		}
-		if mean == nil {
-			mean = make(features.Vector, len(v))
-		}
+	return out, nil
+}
+
+// meanVector averages vectors (nil for none).
+func meanVector(vecs []features.Vector) features.Vector {
+	if len(vecs) == 0 {
+		return nil
+	}
+	mean := make(features.Vector, len(vecs[0]))
+	for _, v := range vecs {
 		for i := range v {
 			mean[i] += v[i]
 		}
-		count++
 	}
 	for i := range mean {
-		mean[i] /= float64(count)
+		mean[i] /= float64(len(vecs))
 	}
-	return mean, nil
+	return mean
 }
 
 // ReconfigureWeights implements the paper's weight-reconfiguration
@@ -107,28 +112,31 @@ func (e *Engine) ReconfigureWeights(kind features.Kind, fb Feedback) ([]float64,
 	if len(fb.Relevant) < 2 {
 		return nil, fmt.Errorf("core: weight reconfiguration needs ≥2 relevant shapes, got %d", len(fb.Relevant))
 	}
-	mean, err := e.meanVector(kind, fb.Relevant)
+	st, err := e.cstore.Store(kind)
 	if err != nil {
 		return nil, err
 	}
+	vecs, err := vectorsOf(st, fb.Relevant)
+	if err != nil {
+		return nil, err
+	}
+	mean := meanVector(vecs)
 	dim := len(mean)
 	variance := make([]float64, dim)
-	for _, id := range fb.Relevant {
-		rec, _ := e.db.Get(id)
-		v := rec.Features[kind]
+	for _, v := range vecs {
 		for i := range v {
 			d := v[i] - mean[i]
 			variance[i] += d * d
 		}
 	}
-	ranges := e.db.DimRanges(kind)
+	lo, hi, _ := st.Bounds()
 	maxRel := 0.0
 	for i := range variance {
 		variance[i] /= float64(len(fb.Relevant))
 		// Relative variance: spread of the relevant set as a fraction of
-		// the feature space's extent along this dimension.
-		if ranges != nil && ranges[i] > 1e-300 {
-			variance[i] /= ranges[i] * ranges[i]
+		// the live rows' extent along this dimension.
+		if r := hi[i] - lo[i]; r > 1e-300 {
+			variance[i] /= r * r
 		}
 		if variance[i] > maxRel {
 			maxRel = variance[i]
@@ -172,17 +180,17 @@ func (e *Engine) ReconfigureFeatureWeights(query features.Set, kinds []features.
 		if !ok {
 			return nil, fmt.Errorf("core: query has no %v vector", kind)
 		}
-		dmax := e.db.DMax(kind)
+		st, err := e.cstore.Store(kind)
+		if err != nil {
+			return nil, err
+		}
+		vecs, err := vectorsOf(st, fb.Relevant)
+		if err != nil {
+			return nil, err
+		}
+		dmax := st.DMax()
 		total := 0.0
-		for _, id := range fb.Relevant {
-			rec, ok := e.db.Get(id)
-			if !ok {
-				return nil, fmt.Errorf("core: feedback references unknown shape %d", id)
-			}
-			v, ok := rec.Features[kind]
-			if !ok {
-				return nil, fmt.Errorf("core: shape %d has no %v vector", id, kind)
-			}
+		for _, v := range vecs {
 			total += WeightedDistance(qv, v, nil) / dmax
 		}
 		meanDist := total / float64(len(fb.Relevant))

@@ -79,12 +79,16 @@ func (e *Engine) SearchMultiStep(ctx context.Context, query features.Set, opt Mu
 			return nil, fmt.Errorf("core: multi-step step %d: %d weights for %d dims",
 				si+2, len(step.Weights), len(qv))
 		}
-		dmax := e.db.DMax(step.Feature)
+		st, err := e.cstore.Store(step.Feature)
+		if err != nil {
+			return nil, err
+		}
+		dmax := st.DMax()
 		ids := make([]int64, len(candidates))
 		for i, c := range candidates {
 			ids[i] = c.ID
 		}
-		recs := e.db.GetMany(ids)
+		recs := rowsOf(st, ids)
 		rescored := candidates[:0]
 		for ci, c := range candidates {
 			rec := recs[ci]
@@ -147,12 +151,26 @@ func (e *Engine) SearchCombined(ctx context.Context, query features.Set, feature
 		if !ok {
 			return nil, fmt.Errorf("core: query has no %v vector", kind)
 		}
-		kinds = append(kinds, kw{kind, w, qv, e.db.DMax(kind)})
+		kinds = append(kinds, kw{kind: kind, weight: w, qv: qv})
 	}
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i].kind < kinds[j].kind })
+	// A scorable shape carries every kind, so the first kind's rows cover
+	// them all; the snapshots share one version, so those rows and every
+	// kind's box are one state.
+	ks := make([]features.Kind, len(kinds))
+	for i, f := range kinds {
+		ks[i] = f.kind
+	}
+	sts, err := e.sameVersionStores(ctx, ks)
+	if err != nil {
+		return nil, err
+	}
+	for i := range kinds {
+		kinds[i].dmax = sts[i].DMax()
+	}
 
 	var out []Result
-	for i, rec := range e.db.Snapshot() {
+	for i, rec := range sts[0].Records() {
 		if i&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -15,14 +16,32 @@ import (
 	"threedess/internal/shapedb"
 )
 
-// bruteForce is the independent reference every weighted search is checked
-// against: Equation 4.3 over each snapshot record that carries the kind,
-// Equation 4.4 under the database's own dmax, ordered by (distance, id).
-// It shares nothing with the columnar path but WeightedDistance itself.
-func bruteForce(db *shapedb.DB, kind features.Kind, qv features.Vector, w []float64) []Result {
-	dmax := db.DMax(kind)
+// bruteForce is the independent reference every search is checked
+// against: Equation 4.3 over each of recs that carries the kind, Equation
+// 4.4 under the diagonal of those same records' bounding box, ordered by
+// (distance, id). It shares nothing with the columnar path but
+// WeightedDistance itself.
+func bruteForce(recs []*shapedb.Record, kind features.Kind, qv features.Vector, w []float64) []Result {
+	var lo, hi features.Vector
+	for _, rec := range recs {
+		xv, ok := rec.Features[kind]
+		if !ok {
+			continue
+		}
+		if lo == nil {
+			lo, hi = xv.Clone(), xv.Clone()
+		}
+		for d, x := range xv {
+			lo[d], hi[d] = math.Min(lo[d], x), math.Max(hi[d], x)
+		}
+	}
+	sum := 0.0
+	for d := range lo {
+		sum += (hi[d] - lo[d]) * (hi[d] - lo[d])
+	}
+	dmax := math.Max(math.Sqrt(sum), 1e-12)
 	var out []Result
-	for _, rec := range db.Snapshot() {
+	for _, rec := range recs {
 		xv, ok := rec.Features[kind]
 		if !ok {
 			continue
@@ -148,6 +167,7 @@ func TestWeightedSearchMatchesBruteForce(t *testing.T) {
 	type step struct {
 		name   string
 		mutate func(t *testing.T, rng *rand.Rand, db *shapedb.DB)
+		reopen bool // close the DB and replay its journal into a new one
 	}
 	cases := []struct {
 		name    string
@@ -161,7 +181,7 @@ func TestWeightedSearchMatchesBruteForce(t *testing.T) {
 		{name: "ties", n: 180},
 		{name: "multi-block", n: 3000}, // past one coarse block, so shards fan out
 		{name: "mutated", n: 200, durable: true, steps: []step{
-			{"out-of-grid appends", func(t *testing.T, rng *rand.Rand, db *shapedb.DB) {
+			{name: "out-of-grid appends", mutate: func(t *testing.T, rng *rand.Rand, db *shapedb.DB) {
 				// Far outside the built quantization grid: the append path
 				// must clamp into the half-infinite edge cells safely.
 				for i := 0; i < 40; i++ {
@@ -174,25 +194,39 @@ func TestWeightedSearchMatchesBruteForce(t *testing.T) {
 					}
 				}
 			}},
-			{"deletes", func(t *testing.T, _ *rand.Rand, db *shapedb.DB) {
+			{name: "delete the extremes", mutate: func(t *testing.T, _ *rand.Rand, db *shapedb.DB) {
+				// The out-of-grid appends span the box; once they are gone
+				// the normalizer must shrink back to the grid's diagonal.
+				for _, rec := range db.Snapshot() {
+					if v, ok := rec.Features[kind]; ok && v[0] >= 100 {
+						if _, err := db.Delete(rec.ID); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}},
+			{name: "deletes", mutate: func(t *testing.T, _ *rand.Rand, db *shapedb.DB) {
 				for _, id := range db.IDs()[:30] {
 					if _, err := db.Delete(id); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}},
-			{"quarantine", func(t *testing.T, _ *rand.Rand, db *shapedb.DB) {
+			{name: "quarantine", mutate: func(t *testing.T, _ *rand.Rand, db *shapedb.DB) {
 				for _, id := range db.IDs()[:3] {
 					if !db.Quarantine(id, shapedb.ScrubBitRot, "test") {
 						t.Fatalf("record %d was not live", id)
 					}
 				}
 			}},
-			{"compaction", func(t *testing.T, _ *rand.Rand, db *shapedb.DB) {
+			{name: "compaction", mutate: func(t *testing.T, _ *rand.Rand, db *shapedb.DB) {
 				if err := db.Compact(); err != nil {
 					t.Fatal(err)
 				}
 			}},
+			// The compacted journal never saw the deleted extremes: the
+			// replayed node must rank and normalize exactly as the live one.
+			{name: "reopen", reopen: true},
 		}},
 	}
 	for ci, tc := range cases {
@@ -206,14 +240,18 @@ func TestWeightedSearchMatchesBruteForce(t *testing.T) {
 			// The engines outlive the mutations, so their columnar stores
 			// must notice every one of them.
 			var engines []*Engine
-			for _, workers := range []int{1, 2, 8} {
-				engines = append(engines, NewEngine(db).SetWorkers(workers))
+			newEngines := func() {
+				engines = nil
+				for _, workers := range []int{1, 2, 8} {
+					engines = append(engines, NewEngine(db).SetWorkers(workers))
+				}
 			}
+			newEngines()
 			check := func(stage string) {
 				t.Helper()
 				query, weights := pmQuery(rng, db)
 				for wi, w := range weights {
-					all := bruteForce(db, kind, query[kind], w)
+					all := bruteForce(db.Snapshot(), kind, query[kind], w)
 					for _, e := range engines {
 						label := fmt.Sprintf("%s, weights #%d, %d workers", stage, wi, e.workers)
 						for _, k := range []int{1, 3, 10, len(all) + 10} {
@@ -236,11 +274,88 @@ func TestWeightedSearchMatchesBruteForce(t *testing.T) {
 			}
 			check("initial")
 			for _, st := range tc.steps {
-				st.mutate(t, rng, db)
+				if st.reopen {
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+					var err error
+					if db, err = shapedb.Open(dir, features.Options{}); err != nil {
+						t.Fatal(err)
+					}
+					defer db.Close()
+					newEngines()
+				} else {
+					st.mutate(t, rng, db)
+				}
 				check("after " + st.name)
 			}
 		})
 	}
+}
+
+// TestIndexedSearchAnswersFromItsSnapshot pins the unweighted R-tree path
+// to the column snapshot it normalizes by. The index is the live one, so
+// a commit between taking the snapshot and reading the index must not
+// leak into the answer: the search stands in with the snapshot's own
+// scan, and every row, distance and similarity is the snapshot's.
+func TestIndexedSearchAnswersFromItsSnapshot(t *testing.T) {
+	const kind = features.PrincipalMoments
+	rng := rand.New(rand.NewSource(30))
+	db, err := shapedb.Open("", features.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mesh := geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1))
+	insert := func(v features.Vector) {
+		t.Helper()
+		if _, err := db.Insert("r", 0, mesh, features.Set{kind: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 300; i++ { // continuous coordinates: no distance ties
+		insert(features.Vector{rng.Float64(), rng.Float64(), rng.Float64()})
+	}
+	e := NewEngine(db)
+	qv := features.Vector{0.4, 0.5, 0.6}
+
+	check := func(stage string) {
+		t.Helper()
+		st, err := e.cstore.Store(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stage == "after a box-expanding commit" {
+			insert(features.Vector{50, 50, 50})
+		}
+		all := bruteForce(st.Records(), kind, qv, nil)
+		for _, k := range []int{1, 10, len(all) + 5} {
+			got, err := e.searchTopK(context.Background(), st, qv, Options{Feature: kind, K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := all[:min(k, len(all))]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, top-%d: answer is not the snapshot's\ngot:  %+v\nwant: %+v", stage, k, got, want)
+			}
+		}
+		for _, th := range []float64{0, 0.5, 0.9} {
+			got, err := e.searchThreshold(context.Background(), st, qv, Options{Feature: kind, Threshold: th})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []Result{}
+			for _, r := range all {
+				if r.Similarity >= th {
+					want = append(want, r)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, t=%g: answer is not the snapshot's\ngot:  %+v\nwant: %+v", stage, th, got, want)
+			}
+		}
+	}
+	check("quiescent")
+	check("after a box-expanding commit")
 }
 
 // trippingCtx reports itself alive for the first Err call (the engine's

@@ -289,35 +289,10 @@ func (e *Extractor) ExtractAvailable(mesh *geom.Mesh, kinds []Kind) (Set, Degrad
 	}
 	normMoments := moments.OfMesh(normMesh)
 
-	// The skeletal-graph branch (voxelize → thin → graph → eigenvalues)
-	// dominates extraction cost and shares only the normalized mesh —
-	// read-only from here on — with the moment/geometric/D2 descriptors,
-	// so when both are requested the branch runs concurrently with them.
-	wantSkel, wantOther := false, false
-	for _, k := range kinds {
-		if k == Eigenvalues {
-			wantSkel = true
-		} else {
-			wantOther = true
-		}
-	}
-	var (
-		skelGraph *skelgraph.Graph
-		skelErr   error
-		skelDone  chan struct{}
-	)
-	if wantSkel && wantOther {
-		skelDone = make(chan struct{})
-		go func() {
-			defer close(skelDone)
-			skelGraph, skelErr = e.buildSkeletalGraph(normMesh)
-		}()
-	}
-
 	out := make(Set, len(kinds))
 	var deg Degradation
 	for _, k := range kinds {
-		if _, done := out[k]; done {
+		if _, done := out[k]; done || deg[k] != "" {
 			continue
 		}
 		switch k {
@@ -330,22 +305,18 @@ func (e *Extractor) ExtractAvailable(mesh *geom.Mesh, kinds []Kind) (Set, Degrad
 			pm := moments.PrincipalMoments(normMoments)
 			out[k] = Vector{pm[0], pm[1], pm[2]}
 		case Eigenvalues:
-			if skelDone != nil {
-				<-skelDone
-			} else if skelGraph == nil {
-				skelGraph, skelErr = e.buildSkeletalGraph(normMesh)
-			}
-			if skelErr != nil {
+			g, err := e.buildSkeletalGraph(normMesh)
+			if err != nil {
 				// The skeletal branch is the only fallible one; its failure
 				// leaves the moment descriptors intact, so degrade this
 				// kind instead of discarding the whole extraction.
 				if deg == nil {
 					deg = Degradation{}
 				}
-				deg[k] = skelErr.Error()
+				deg[k] = err.Error()
 				continue
 			}
-			out[k] = Vector(skelGraph.EigenvalueSignature(e.opts.EigenDim))
+			out[k] = Vector(g.EigenvalueSignature(e.opts.EigenDim))
 		case HigherOrder:
 			out[k] = Vector(moments.HigherOrderInvariants(rawCentral))
 		case ShapeDistribution:
@@ -370,10 +341,10 @@ func (e *Extractor) ExtractAll(mesh *geom.Mesh) (Set, error) {
 
 // buildSkeletalGraph runs voxelization → thinning → graph construction on
 // the normalized mesh. A panic anywhere in the branch is converted into an
-// error: the branch runs on its own goroutine when overlapped with the
-// moment descriptors, where an escaped panic would kill the process rather
-// than the request, and hostile geometry is exactly what reaches the edge
-// cases of the voxel/thinning code.
+// error, which ExtractAvailable reports as the eigenvalue kind's
+// Degradation: hostile geometry is exactly what reaches the edge cases of
+// the voxel/thinning code, and such a mesh should cost its skeletal
+// descriptor, not its moment descriptors or the request.
 func (e *Extractor) buildSkeletalGraph(normMesh *geom.Mesh) (g *skelgraph.Graph, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -288,9 +288,9 @@ func TestShapeDistributionProperties(t *testing.T) {
 	}
 }
 
-// TestExtractOverlapMatchesSerial asserts that the concurrent
-// skeletal-graph branch produces bit-identical vectors to one-kind-at-a-
-// time extraction (which never overlaps), for every descriptor.
+// TestExtractOverlapMatchesSerial asserts that extracting every kind
+// together produces bit-identical vectors to extracting each kind alone,
+// for every descriptor.
 func TestExtractOverlapMatchesSerial(t *testing.T) {
 	ext := NewExtractor(Options{})
 	m := geom.Box(geom.V(0, 0, 0), geom.V(4, 1, 1))
@@ -305,11 +305,11 @@ func TestExtractOverlapMatchesSerial(t *testing.T) {
 			t.Fatalf("%v: %v", k, err)
 		}
 		if len(all[k]) != len(solo[k]) {
-			t.Fatalf("%v: overlap dim %d, serial dim %d", k, len(all[k]), len(solo[k]))
+			t.Fatalf("%v: together dim %d, alone dim %d", k, len(all[k]), len(solo[k]))
 		}
 		for i := range solo[k] {
 			if all[k][i] != solo[k][i] {
-				t.Errorf("%v[%d]: overlap %v != serial %v", k, i, all[k][i], solo[k][i])
+				t.Errorf("%v[%d]: together %v != alone %v", k, i, all[k][i], solo[k][i])
 			}
 		}
 	}

@@ -232,4 +232,3 @@ func TestDefaultLimitsRoundTrip(t *testing.T) {
 		}
 	}
 }
-

@@ -251,7 +251,6 @@ func pointInTriangle(p, a, b, c Vec2) bool {
 	return !(hasNeg && hasPos)
 }
 
-
 // earClip triangulates a simple counter-clockwise polygon (possibly with
 // duplicated bridge vertices) and returns index triangles.
 func earClip(poly Polygon) ([][3]int, error) {

@@ -106,8 +106,8 @@ type Status struct {
 	// StalenessMS bounds how old served reads may be: ms since the standby
 	// last observed itself fully caught up (-1 = never; 0 on a primary).
 	StalenessMS int64 `json:"staleness_ms"`
-	Promotions    int64 `json:"promotions"`
-	StepDowns     int64 `json:"step_downs"`
+	Promotions  int64 `json:"promotions"`
+	StepDowns   int64 `json:"step_downs"`
 	// Primary-side ack tracking (meaningful when Role == "primary").
 	StandbyAttached bool  `json:"standby_attached"`
 	AckedOffset     int64 `json:"acked_offset"`

@@ -4,12 +4,13 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
 	"strings"
+
+	"threedess/internal/colstore"
 )
 
 // PartialHeader names the shards whose slice of the corpus is missing
@@ -75,10 +76,10 @@ type shardSearchReq struct {
 	DMax        *float64  `json:"dmax,omitempty"`
 }
 
-// shardBounds mirrors the server's /api/cluster/bounds answer: the
-// feature-space bounding box of the shard's stored vectors of one kind,
-// plus the shard's data version (journal sequence) so coordinators can
-// tag cached answers with the fleet-wide data state.
+// shardBounds mirrors the server's /api/cluster/bounds answer, read from
+// one column snapshot of the shard: the bounding box of its live rows of
+// one kind, their count, and the data version the snapshot was taken at,
+// so coordinators can tag cached answers with the fleet-wide data state.
 type shardBounds struct {
 	Count   int       `json:"count"`
 	Lo      []float64 `json:"lo,omitempty"`
@@ -131,8 +132,8 @@ func (b *BoundsSet) VersionTag() int64 {
 }
 
 // CollectBounds runs the bounds round: every fleet shard reports the
-// bounding box of its stored vectors for the feature, its record count,
-// and its data version. A shard that cannot answer is marked missing —
+// bounding box of its live rows of the feature, their count, and its data
+// version. A shard that cannot answer is marked missing —
 // its box is unknown, so including its rows in a later search round
 // could disagree with the dmax the others were told to use. A 4xx from
 // any shard (bad feature name, etc.) fails the round.
@@ -275,12 +276,12 @@ func (c *Coordinator) SearchBounds(ctx context.Context, q Query, b *BoundsSet) (
 // partial results into the canonical (distance, id) order.
 //
 // Two fan-out rounds make the merged answer bit-identical to a
-// single-node scan: the first collects per-shard feature-space bounding
-// boxes, which merge exactly (elementwise min/max) into the global box;
-// its diagonal — computed with the same summation order as
-// shapedb.DMax — is sent back as a dmax override, so every shard computes
-// Equation-4.4 similarities (and threshold cutoffs) against the global
-// normalizer instead of its local one. Distances are dmax-independent, and
+// single-node scan: the first collects the bounding box of each shard's
+// live rows, which merge exactly (elementwise min/max) into the box of
+// the whole live corpus; its colstore.Diagonal — the function a single
+// node's DMax is — is sent back as a dmax override, so every shard
+// computes Equation-4.4 similarities (and threshold cutoffs) against the
+// global normalizer instead of its local one. Distances are dmax-independent, and
 // the merge re-sorts by the same (distance ascending, id ascending) rule
 // every engine path uses, so rows, order, and every float match the
 // single-node answer bit for bit.
@@ -306,11 +307,10 @@ func (c *Coordinator) Search(ctx context.Context, q Query) (*Outcome, error) {
 // than degrades.
 var ErrNoShards = fmt.Errorf("scatter: no shards reachable")
 
-// mergeDMax merges per-shard bounding boxes into the global box and
-// returns its diagonal, replicating shapedb.DMax exactly: elementwise
-// min/max (exact in floating point), squared extents summed in dimension
-// order, sqrt, floored at 1e-12. The result is bit-identical to what a
-// single node holding every vector would compute.
+// mergeDMax merges per-shard bounding boxes elementwise (min/max, exact
+// in floating point) into the global box and returns its
+// colstore.Diagonal: bit-identical, by construction, to the DMax of one
+// node holding every shard's rows.
 func mergeDMax(bounds []shardBounds, missing []bool) float64 {
 	var lo, hi []float64
 	for i, b := range bounds {
@@ -331,18 +331,7 @@ func mergeDMax(bounds []shardBounds, missing []bool) float64 {
 			}
 		}
 	}
-	if lo == nil {
-		return 1e-12
-	}
-	sum := 0.0
-	for i := range lo {
-		d := hi[i] - lo[i]
-		sum += d * d
-	}
-	if d := math.Sqrt(sum); d > 1e-12 {
-		return d
-	}
-	return 1e-12
+	return colstore.Diagonal(lo, hi)
 }
 
 func uniformWeights(dim int) []float64 {

@@ -127,9 +127,11 @@ func (s *Server) notOnCoordinator(w http.ResponseWriter, what string) bool {
 }
 
 // handleClusterBounds serves GET /api/cluster/bounds?feature=K: the
-// feature-space bounding box of this node's stored vectors, plus its
-// shape count. Coordinators merge these boxes elementwise into the global
-// box whose diagonal is the cluster-wide Equation-4.4 normalizer.
+// bounding box of this node's live rows of the feature, their count, and
+// the data version — all three read from one column snapshot, the one a
+// search of this node ranks. Coordinators merge these boxes elementwise
+// into the global box whose diagonal is the cluster-wide Equation-4.4
+// normalizer.
 func (s *Server) handleClusterBounds(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
@@ -140,17 +142,17 @@ func (s *Server) handleClusterBounds(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	st, err := s.engine.ColStore().Store(kind)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
 	// The data version rides along so coordinators can fold every shard's
 	// mutation counter (plus the ring epoch) into one cache tag — any
 	// write anywhere in the fleet, through any coordinator, changes it.
-	resp := map[string]any{
-		"count":   s.engine.DB().Len(),
-		"version": s.engine.DB().Version(),
-	}
-	if lo, hi, ok := s.engine.DB().Bounds(kind); ok {
+	resp := map[string]any{"count": st.Len(), "version": st.Version()}
+	if lo, hi, ok := st.Bounds(); ok {
 		resp["lo"], resp["hi"] = lo, hi
-	} else {
-		resp["count"] = 0
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

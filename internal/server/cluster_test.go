@@ -147,6 +147,36 @@ func (tc *testCluster) seedSynthetic(t *testing.T, m int) {
 	}
 }
 
+// deleteExtreme deletes, through the coordinator, every record at the
+// corpus's largest first coordinate (a corner of its box; seedSynthetic's
+// duplicates make it a set), then replaces the reference node by a fresh
+// one seeded with only the survivors. Later checks thus compare the fleet
+// with a node that holds the live state, not one that lived its history.
+func (tc *testCluster) deleteExtreme(t *testing.T) {
+	t.Helper()
+	const kind = features.PrincipalMoments
+	recs := tc.refDB.Snapshot()
+	top := recs[0].Features[kind][0]
+	for _, rec := range recs {
+		top = max(top, rec.Features[kind][0])
+	}
+	refDB, _, refSrv := newNode(t)
+	for _, rec := range recs {
+		if rec.Features[kind][0] == top {
+			if err := tc.coordC.DeleteShape(rec.ID); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if _, err := refDB.InsertWith(rec.Name, rec.Group, rec.Mesh, rec.Features, shapedb.InsertOpts{ID: rec.ID}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rts := httptest.NewServer(refSrv)
+	t.Cleanup(rts.Close)
+	tc.refDB, tc.refC = refDB, NewClient(rts.URL)
+}
+
 // searchBoth runs the same request against the coordinator and the
 // reference node.
 func (tc *testCluster) searchBoth(t *testing.T, req SearchRequest) (cluster, ref []SearchResult) {
@@ -165,7 +195,8 @@ func (tc *testCluster) searchBoth(t *testing.T, req SearchRequest) (cluster, ref
 // TestClusterMergeEquivalence is the core guarantee: scatter-gather top-k
 // and threshold answers DeepEqual the single-node exact scan — bitwise
 // distances and similarities, tie order included — across shard counts
-// 1..8, random weights, and K larger than any one shard's slice.
+// 1..8, random weights, K larger than any one shard's slice, and a corpus
+// whose extreme point was deleted halfway through.
 func TestClusterMergeEquivalence(t *testing.T) {
 	const corpus = 60
 	rng := rand.New(rand.NewSource(7))
@@ -175,6 +206,9 @@ func TestClusterMergeEquivalence(t *testing.T) {
 			tc.seedSynthetic(t, corpus)
 			feature := features.PrincipalMoments.String()
 			for trial := 0; trial < 4; trial++ {
+				if trial == 2 {
+					tc.deleteExtreme(t)
+				}
 				qv := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 				weights := []float64{
 					0.5 + rng.Float64(), 0.5 + rng.Float64(), 0.5 + rng.Float64(),

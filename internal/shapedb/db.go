@@ -54,10 +54,6 @@ type DB struct {
 	records map[int64]*Record
 	nextID  int64
 	indexes map[features.Kind]*rtree.Tree
-	// Feature-space bounds per kind, maintained on insert, used for the
-	// dmax of Equation 4.4. Deletes do not shrink the bounds (a stable
-	// upper bound keeps similarity values comparable over time).
-	lo, hi map[features.Kind][]float64
 
 	journal  *journal
 	dir      string
@@ -138,8 +134,6 @@ func OpenFS(dir string, opts features.Options, fsys faultfs.FS) (*DB, error) {
 		opts:        features.NewExtractor(opts).Options(),
 		records:     make(map[int64]*Record),
 		indexes:     make(map[features.Kind]*rtree.Tree),
-		lo:          make(map[features.Kind][]float64),
-		hi:          make(map[features.Kind][]float64),
 		nextID:      1,
 		dir:         dir,
 		fsys:        fsys,
@@ -510,25 +504,6 @@ func (db *DB) applyInsert(rec *Record) {
 			// non-finite features slipped in.
 			panic("shapedb: index insert: " + err.Error())
 		}
-		db.growBounds(k, v)
-	}
-}
-
-func (db *DB) growBounds(k features.Kind, v features.Vector) {
-	lo, ok := db.lo[k]
-	if !ok {
-		db.lo[k] = append([]float64(nil), v...)
-		db.hi[k] = append([]float64(nil), v...)
-		return
-	}
-	hi := db.hi[k]
-	for i := range v {
-		if v[i] < lo[i] {
-			lo[i] = v[i]
-		}
-		if v[i] > hi[i] {
-			hi[i] = v[i]
-		}
 	}
 }
 
@@ -761,42 +736,6 @@ func (db *DB) WithinRadius(k features.Kind, query features.Vector, radius float6
 	return idx.WithinRadius(rtree.Point(query), radius), nil
 }
 
-// DMax returns the diagonal of the feature-space bounding box of the
-// stored vectors of kind k — the normalizer of Equation 4.4. It is at
-// least 1e-12 so similarity computation never divides by zero.
-func (db *DB) DMax(k features.Kind) float64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	lo, ok := db.lo[k]
-	if !ok {
-		return 1e-12
-	}
-	hi := db.hi[k]
-	sum := 0.0
-	for i := range lo {
-		d := hi[i] - lo[i]
-		sum += d * d
-	}
-	if d := math.Sqrt(sum); d > 1e-12 {
-		return d
-	}
-	return 1e-12
-}
-
-// Bounds returns copies of the feature-space bounding box (lo, hi) of the
-// stored vectors of kind k, or ok=false when no vector of that kind is
-// stored. A cluster coordinator merges per-shard boxes elementwise into
-// the global box, whose diagonal reproduces this database's DMax exactly.
-func (db *DB) Bounds(k features.Kind) (lo, hi []float64, ok bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	l, ok := db.lo[k]
-	if !ok {
-		return nil, nil, false
-	}
-	return append([]float64(nil), l...), append([]float64(nil), db.hi[k]...), true
-}
-
 // MaxID returns the highest record id ever assigned (0 for a fresh
 // database), including ids whose records were since deleted — the safe
 // seed for an external id allocator.
@@ -804,25 +743,6 @@ func (db *DB) MaxID() int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.nextID - 1
-}
-
-// DimRanges returns the per-dimension extent (hi − lo) of the stored
-// vectors of kind k, or nil when no vector of that kind is stored. Used to
-// put heterogeneous dimensions on a common scale (e.g. by the relevance-
-// feedback weight reconfiguration).
-func (db *DB) DimRanges(k features.Kind) []float64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	lo, ok := db.lo[k]
-	if !ok {
-		return nil
-	}
-	hi := db.hi[k]
-	out := make([]float64, len(lo))
-	for i := range lo {
-		out[i] = hi[i] - lo[i]
-	}
-	return out
 }
 
 // IndexStats returns (node accesses, tree height, entry count) for the

@@ -139,25 +139,6 @@ func TestKNNAndRadius(t *testing.T) {
 	}
 }
 
-func TestDMax(t *testing.T) {
-	db, _ := Open("", features.Options{})
-	defer db.Close()
-	if d := db.DMax(features.PrincipalMoments); d != 1e-12 {
-		t.Errorf("empty DMax = %v", d)
-	}
-	testRecord(t, db, "a", 0, 0)
-	if d := db.DMax(features.PrincipalMoments); d != 1e-12 {
-		t.Errorf("single-point DMax = %v", d)
-	}
-	testRecord(t, db, "b", 0, 10)
-	d := db.DMax(features.PrincipalMoments)
-	// Two points differing by 10 in each of 3 dims: diag = 10√3.
-	want := 10 * 1.7320508
-	if d < want-0.01 || d > want+0.01 {
-		t.Errorf("DMax = %v, want ≈%v", d, want)
-	}
-}
-
 func TestGroupQueries(t *testing.T) {
 	db, _ := Open("", features.Options{})
 	defer db.Close()
@@ -379,7 +360,6 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 			break
 		}
 		db.Len()
-		db.DMax(features.PrincipalMoments)
 	}
 	<-done
 	if db.Len() != 120 {

@@ -120,26 +120,6 @@ func TestJournalSurvivesManyOperations(t *testing.T) {
 	}
 }
 
-func TestDimRanges(t *testing.T) {
-	db, _ := Open("", features.Options{})
-	defer db.Close()
-	if got := db.DimRanges(features.PrincipalMoments); got != nil {
-		t.Errorf("empty DimRanges = %v", got)
-	}
-	testRecord(t, db, "a", 0, 0)
-	testRecord(t, db, "b", 0, 10)
-	ranges := db.DimRanges(features.PrincipalMoments)
-	dim := db.Options().Dim(features.PrincipalMoments)
-	if len(ranges) != dim {
-		t.Fatalf("ranges dim = %d", len(ranges))
-	}
-	for i, r := range ranges {
-		if r != 10 {
-			t.Errorf("range[%d] = %v, want 10", i, r)
-		}
-	}
-}
-
 func TestConcurrentMixedOperations(t *testing.T) {
 	db, _ := Open("", features.Options{})
 	defer db.Close()
