@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"threedess/internal/retry"
 )
 
 // FaultRT is the network-side sibling of faultfs: an http.RoundTripper
@@ -111,12 +113,8 @@ func (f *FaultRT) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, ErrNetFault
 	}
 	if delay > 0 {
-		t := time.NewTimer(delay)
-		select {
-		case <-req.Context().Done():
-			t.Stop()
-			return nil, req.Context().Err()
-		case <-t.C:
+		if err := retry.Sleep(req.Context(), delay); err != nil {
+			return nil, err
 		}
 	}
 	inner := f.Inner

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -13,6 +12,7 @@ import (
 	"strconv"
 	"time"
 
+	"threedess/internal/retry"
 	"threedess/internal/shapedb"
 )
 
@@ -183,7 +183,7 @@ func (s *Standby) run(ctx context.Context) {
 	for ctx.Err() == nil && s.node.Role() == RoleStandby {
 		if err := s.iterate(ctx); err != nil {
 			s.checkFailover(ctx)
-			s.sleep(ctx, s.cfg.Heartbeat)
+			retry.Sleep(ctx, s.cfg.Heartbeat) // a done ctx ends the loop
 		}
 	}
 }
@@ -388,11 +388,10 @@ func (s *Standby) fence(ctx context.Context, term int64) (FenceResponse, error) 
 	if err != nil {
 		return out, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.node.PrimaryURL()+FencePath, bytes.NewReader(body))
+	req, err := retry.NewRequest(ctx, http.MethodPost, s.node.PrimaryURL()+FencePath, "", body)
 	if err != nil {
 		return out, err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	s.authorize(req)
 	resp, err := s.http.Do(req)
 	if err != nil {
@@ -409,15 +408,6 @@ func (s *Standby) fence(ctx context.Context, term int64) (FenceResponse, error) 
 func (s *Standby) authorize(req *http.Request) {
 	if s.cfg.Secret != "" {
 		req.Header.Set(SecretHeader, s.cfg.Secret)
-	}
-}
-
-func (s *Standby) sleep(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
 	}
 }
 

@@ -1,18 +1,18 @@
 package scatter
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	mathrand "math/rand/v2"
 	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"threedess/internal/retry"
 )
 
 // Policy tunes how the coordinator talks to one shard. The zero value
@@ -29,8 +29,8 @@ type Policy struct {
 	// shard's replica endpoints. Negative disables retries.
 	Retries int
 	// BackoffBase/BackoffCap shape the exponential backoff between
-	// attempts; up to 50% jitter is added so a burst of queries against a
-	// recovering shard doesn't retry in lockstep.
+	// attempts when the shard sent no Retry-After hint; up to 50% jitter
+	// is added so a burst of queries doesn't retry in lockstep.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
 	// HedgeAfter is the straggler budget: when an attempt has neither
@@ -95,9 +95,9 @@ func (p Policy) withDefaults() Policy {
 }
 
 // ShardError is a non-2xx HTTP answer from a shard, preserved with its
-// status so the coordinator can distinguish a query problem (4xx: every
-// shard would refuse it the same way — propagate) from a shard problem
-// (5xx: retry, then degrade).
+// status so the coordinator can distinguish a query problem (see
+// QueryFault: every shard would refuse it the same way — propagate) from
+// a shard problem (429 or 5xx: retry, then degrade).
 type ShardError struct {
 	Shard  string
 	Status int
@@ -116,6 +116,15 @@ func HTTPStatus(err error) int {
 		return se.Status
 	}
 	return 0
+}
+
+// QueryFault reports whether err is a shard refusing the request itself
+// (a 4xx other than 429: every shard would answer the same way), so the
+// query fails instead of degrading. A shard still shedding (429) after
+// its retries is dropped from the merge like a dead one.
+func QueryFault(err error) bool {
+	status := HTTPStatus(err)
+	return status >= 400 && !retry.Transient(status)
 }
 
 // ShardHealth is one shard's liveness view, as tracked by its client.
@@ -221,11 +230,11 @@ func (sc *ShardClient) Name() string { return sc.name }
 func (sc *ShardClient) Endpoints() []string { return append([]string(nil), sc.endpoints...) }
 
 // Call performs one logical request against the shard under the full
-// policy: per-attempt deadlines derived from ctx, bounded retries with
-// backoff+jitter rotating across replicas, and hedged duplicates for
-// stragglers. A 4xx answer is returned as a *ShardError without retrying
-// (the query is at fault, not the shard); connection failures, timeouts,
-// 429 and 5xx are retried until the budget runs out.
+// policy: per-attempt deadlines derived from ctx, bounded retries rotating
+// across replicas, and hedged duplicates for stragglers. A query fault is
+// returned as a *ShardError without retrying; connection failures,
+// timeouts, 429 and 5xx are retried (after the shard's Retry-After hint,
+// else backoff with jitter) until the budget runs out.
 func (sc *ShardClient) Call(ctx context.Context, method, path string, body, out any) error {
 	return sc.CallIdem(ctx, method, path, "", body, out)
 }
@@ -246,6 +255,7 @@ func (sc *ShardClient) CallIdem(ctx context.Context, method, path, idemKey strin
 	attempts := 1 + sc.policy.Retries
 	var lastErr error
 	heals := 0
+	shed := map[string]bool{} // replicas that answered 429/5xx this call
 	for a := 0; a < attempts; a++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -256,30 +266,31 @@ func (sc *ShardClient) CallIdem(ctx context.Context, method, path, idemKey strin
 		if ok, retryIn := sc.allowAttempt(); !ok {
 			return &BreakerOpenError{Shard: sc.name, RetryAfter: retryIn}
 		}
-		status, data, err := sc.attemptHedged(ctx, method, path, idemKey, payload)
+		rep := sc.attemptHedged(ctx, method, path, idemKey, payload)
 		switch {
-		case err != nil:
+		case rep.err != nil:
 			// Transport-level failure or attempt timeout.
 			sc.markFail()
-			lastErr = err
-		case status == http.StatusTooManyRequests || status >= 500:
+			lastErr = rep.err
+		case retry.Transient(rep.status):
 			// Overload shed or server fault: worth another attempt. Only a
 			// 5xx counts against shard health — a 429 is the admission gate
 			// doing its job on a live shard.
-			if status >= 500 {
+			if rep.status >= 500 {
 				sc.markFail()
 			} else {
 				sc.markSeen()
 			}
-			lastErr = &ShardError{Shard: sc.name, Status: status, Msg: errMsg(data)}
-		case status >= 400:
+			shed[rep.endpoint] = true
+			lastErr = &ShardError{Shard: sc.name, Status: rep.status, Msg: retry.Message(rep.data)}
+		case rep.status >= 400:
 			// The shard is alive and rejected the request. A 409 carrying a
 			// RingState is the epoch gate — reconcile topologies and retry
 			// without spending the retry budget; any other 4xx is the
 			// caller's problem and retrying cannot help.
 			sc.markSeen()
-			if status == http.StatusConflict && sc.hook != nil {
-				if st, ok := decodeRingState(data); ok {
+			if rep.status == http.StatusConflict && sc.hook != nil {
+				if st, ok := DecodeRingState(rep.data); ok {
 					if heals < maxEpochHeals && sc.hook.HealEpoch(ctx, sc, st) {
 						heals++
 						a--
@@ -288,19 +299,36 @@ func (sc *ShardClient) CallIdem(ctx context.Context, method, path, idemKey strin
 					return &EpochError{Shard: sc.index, State: st}
 				}
 			}
-			return &ShardError{Shard: sc.name, Status: status, Msg: errMsg(data)}
+			return &ShardError{Shard: sc.name, Status: rep.status, Msg: retry.Message(rep.data)}
 		default:
 			sc.markSeen()
 			if out == nil {
 				return nil
 			}
-			if err := json.Unmarshal(data, out); err != nil {
+			if err := json.Unmarshal(rep.data, out); err != nil {
 				return fmt.Errorf("scatter: decoding %s response from %s: %w", path, sc.name, err)
 			}
 			return nil
 		}
 		if a < attempts-1 {
-			if err := sc.backoff(ctx, a+1); err != nil {
+			// A Retry-After hint describes one replica, not the shard:
+			// while a sibling has not shed this call, the next attempt
+			// rotates to it after the ordinary backoff instead.
+			hdr := rep.header
+			if len(shed) < len(sc.endpoints) {
+				hdr = nil
+			}
+			wait, hinted := retry.Wait(a+1, sc.policy.BackoffBase, sc.policy.BackoffCap, hdr)
+			// A shard whose hint outlasts our budget will still be
+			// shedding when we could come back: resending into it helps
+			// nobody, so give up now and let the caller degrade. Without
+			// a deadline (migration calls) the hint is capped at Timeout.
+			if dl, ok := ctx.Deadline(); !ok {
+				wait = min(wait, sc.policy.Timeout)
+			} else if hinted && time.Now().Add(wait).After(dl.Add(-sc.policy.MergeMargin)) {
+				return lastErr
+			}
+			if err := retry.Sleep(ctx, wait); err != nil {
 				return err
 			}
 		}
@@ -308,16 +336,26 @@ func (sc *ShardClient) CallIdem(ctx context.Context, method, path, idemKey strin
 	return fmt.Errorf("scatter: %s unavailable after %d attempts: %w", sc.name, attempts, lastErr)
 }
 
+// reply is one replica endpoint's answer: status, headers and (bounded)
+// body, or the transport failure or timeout that prevented one.
+type reply struct {
+	endpoint string
+	status   int
+	header   http.Header
+	data     []byte
+	err      error
+}
+
 // attemptHedged runs one attempt: a request to the next replica, plus — if
 // it is still in flight after HedgeAfter — a duplicate to the replica
-// after that, first answer wins. Returns (status, body, nil) for any HTTP
-// answer and a non-nil error only for transport failures/timeouts.
-func (sc *ShardClient) attemptHedged(ctx context.Context, method, path, idemKey string, payload []byte) (int, []byte, error) {
+// after that, first answer wins. The reply carries an error only for
+// transport failures/timeouts; any HTTP answer comes back as one.
+func (sc *ShardClient) attemptHedged(ctx context.Context, method, path, idemKey string, payload []byte) reply {
 	budget := sc.policy.Timeout
 	if dl, ok := ctx.Deadline(); ok {
 		remaining := time.Until(dl) - sc.policy.MergeMargin
 		if remaining <= 0 {
-			return 0, nil, fmt.Errorf("scatter: no budget left for %s: %w", sc.name, context.DeadlineExceeded)
+			return reply{err: fmt.Errorf("scatter: no budget left for %s: %w", sc.name, context.DeadlineExceeded)}
 		}
 		if remaining < budget {
 			budget = remaining
@@ -326,15 +364,11 @@ func (sc *ShardClient) attemptHedged(ctx context.Context, method, path, idemKey 
 	actx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 
-	type reply struct {
-		status int
-		data   []byte
-		err    error
-	}
 	ch := make(chan reply, 2) // buffered: a canceled loser must not leak its goroutine
 	send := func(endpoint string) {
-		status, data, err := sc.once(actx, method, endpoint+path, idemKey, payload)
-		ch <- reply{status, data, err}
+		rep := sc.once(actx, method, endpoint+path, idemKey, payload)
+		rep.endpoint = endpoint
+		ch <- rep
 	}
 	go send(sc.nextEndpoint())
 	inflight := 1
@@ -345,20 +379,16 @@ func (sc *ShardClient) attemptHedged(ctx context.Context, method, path, idemKey 
 		defer t.Stop()
 		hedgeC = t.C
 	}
-	var last reply
 	for {
 		select {
 		case rep := <-ch:
 			inflight--
-			if rep.err == nil && rep.status != http.StatusTooManyRequests && rep.status < 500 {
-				return rep.status, rep.data, nil
-			}
-			last = rep
-			if inflight == 0 {
-				// Every launched request has answered (badly). A fast
-				// failure before the hedge timer goes back to the retry
-				// loop — hedging is for stragglers, not for errors.
-				return last.status, last.data, last.err
+			if (rep.err == nil && !retry.Transient(rep.status)) || inflight == 0 {
+				// A good answer wins; otherwise every launched request has
+				// answered (badly). A fast failure before the hedge timer
+				// goes back to the retry loop — hedging is for stragglers,
+				// not for errors.
+				return rep
 			}
 		case <-hedgeC:
 			hedgeC = nil
@@ -370,43 +400,33 @@ func (sc *ShardClient) attemptHedged(ctx context.Context, method, path, idemKey 
 		case <-actx.Done():
 			// The attempt deadline cancels the in-flight requests; their
 			// replies land in the buffered channel and are discarded.
-			return 0, nil, fmt.Errorf("scatter: %s attempt exceeded %s budget: %w", sc.name, budget, actx.Err())
+			return reply{err: fmt.Errorf("scatter: %s attempt exceeded %s budget: %w", sc.name, budget, actx.Err())}
 		}
 	}
 }
 
 // once sends a single HTTP request and reads the whole (bounded) body.
-func (sc *ShardClient) once(ctx context.Context, method, url, idemKey string, payload []byte) (int, []byte, error) {
+func (sc *ShardClient) once(ctx context.Context, method, url, idemKey string, payload []byte) reply {
 	sc.requests.Add(1)
-	var rdr io.Reader
-	if payload != nil {
-		rdr = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rdr)
+	req, err := retry.NewRequest(ctx, method, url, idemKey, payload)
 	if err != nil {
-		return 0, nil, err
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if idemKey != "" {
-		req.Header.Set("Idempotency-Key", idemKey)
+		return reply{err: err}
 	}
 	if sc.hook != nil {
 		req.Header.Set(RingEpochHeader, formatEpoch(sc.hook.Epoch()))
 	}
 	resp, err := sc.httpc.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return reply{err: err}
 	}
 	defer resp.Body.Close()
 	// Shard answers are JSON result sets; 64 MiB is far beyond any of
 	// them and keeps a corrupted peer from ballooning coordinator memory.
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return 0, nil, err
+		return reply{err: err}
 	}
-	return resp.StatusCode, data, nil
+	return reply{status: resp.StatusCode, header: resp.Header, data: data}
 }
 
 // Probe makes one cheap liveness attempt (no retries, no hedging, 500ms
@@ -417,8 +437,8 @@ func (sc *ShardClient) Probe(ctx context.Context) bool {
 	actx, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
 	defer cancel()
 	for range sc.endpoints {
-		status, _, err := sc.once(actx, http.MethodGet, sc.nextEndpoint()+"/healthz", "", nil)
-		if err == nil && status == http.StatusOK {
+		rep := sc.once(actx, http.MethodGet, sc.nextEndpoint()+"/healthz", "", nil)
+		if rep.err == nil && rep.status == http.StatusOK {
 			sc.markSeen()
 			return true
 		}
@@ -473,30 +493,11 @@ func (sc *ShardClient) nextEndpoint() string {
 	return ep
 }
 
-// backoff sleeps before retry `attempt` (1-based): exponential from
-// BackoffBase, capped at BackoffCap, plus up to 50% jitter. A done ctx
-// cuts the sleep short and returns its error.
-func (sc *ShardClient) backoff(ctx context.Context, attempt int) error {
-	d := sc.policy.BackoffBase << (attempt - 1)
-	if d > sc.policy.BackoffCap {
-		d = sc.policy.BackoffCap
-	}
-	d += time.Duration(mathrand.Int64N(int64(d)/2 + 1))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// decodeRingState extracts the "ring" field a shard's epoch-gate 409
+// DecodeRingState extracts the "ring" field a shard's epoch-gate 409
 // (and its ring-push rejection) carries. A 409 without one is an
 // ordinary conflict (an id collision on insert) and must pass through
 // untouched.
-func decodeRingState(data []byte) (RingState, bool) {
+func DecodeRingState(data []byte) (RingState, bool) {
 	var body struct {
 		Ring *RingState `json:"ring"`
 	}
@@ -516,36 +517,20 @@ func (sc *ShardClient) pushState(ctx context.Context, st RingState) (RingState, 
 	}
 	actx, cancel := context.WithTimeout(ctx, sc.policy.Timeout)
 	defer cancel()
-	status, data, err := sc.once(actx, http.MethodPost, sc.nextEndpoint()+"/api/cluster/ring", "", payload)
-	if err != nil {
+	rep := sc.once(actx, http.MethodPost, sc.nextEndpoint()+"/api/cluster/ring", "", payload)
+	if rep.err != nil {
 		return RingState{}, false
 	}
-	if status == http.StatusOK {
+	if rep.status == http.StatusOK {
 		sc.markSeen()
 		var got RingState
-		if json.Unmarshal(data, &got) != nil {
+		if json.Unmarshal(rep.data, &got) != nil {
 			got = st
 		}
 		return got, true
 	}
-	if got, ok := decodeRingState(data); ok {
+	if got, ok := DecodeRingState(rep.data); ok {
 		return got, false
 	}
 	return RingState{}, false
-}
-
-// errMsg extracts the server's {"error": ...} message from an error body,
-// falling back to the raw bytes.
-func errMsg(data []byte) string {
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(data, &e) == nil && e.Error != "" {
-		return e.Error
-	}
-	s := string(data)
-	if len(s) > 200 {
-		s = s[:200] + "..."
-	}
-	return s
 }

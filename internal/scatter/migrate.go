@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"threedess/internal/retry"
 	"threedess/internal/shapedb"
 )
 
@@ -581,10 +582,8 @@ func (m *Migrator) pushAll(ctx context.Context, st RingState) error {
 		if allAcked {
 			return nil
 		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("scatter: pushing ring epoch %d: %w", st.Epoch, ctx.Err())
-		case <-time.After(100 * time.Millisecond):
+		if err := retry.Sleep(ctx, 100*time.Millisecond); err != nil {
+			return fmt.Errorf("scatter: pushing ring epoch %d: %w", st.Epoch, err)
 		}
 	}
 }

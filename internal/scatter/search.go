@@ -135,8 +135,8 @@ func (b *BoundsSet) VersionTag() int64 {
 // bounding box of its live rows of the feature, their count, and its data
 // version. A shard that cannot answer is marked missing —
 // its box is unknown, so including its rows in a later search round
-// could disagree with the dmax the others were told to use. A 4xx from
-// any shard (bad feature name, etc.) fails the round.
+// could disagree with the dmax the others were told to use. A query
+// fault from any shard (bad feature name, etc.) fails the round.
 func (c *Coordinator) CollectBounds(ctx context.Context, feature string) (*BoundsSet, error) {
 	n := c.NumShards()
 	b := &BoundsSet{
@@ -151,7 +151,7 @@ func (c *Coordinator) CollectBounds(ctx context.Context, feature string) (*Bound
 	})
 	for i, err := range errs {
 		if err != nil {
-			if status := HTTPStatus(err); status >= 400 && status < 500 {
+			if QueryFault(err) {
 				return nil, err // the query names a bad feature, etc.
 			}
 			b.missing[i] = true
@@ -211,7 +211,7 @@ func (c *Coordinator) SearchBounds(ctx context.Context, q Query, b *BoundsSet) (
 	})
 	for i, err := range errs {
 		if err != nil {
-			if status := HTTPStatus(err); status >= 400 && status < 500 {
+			if QueryFault(err) {
 				return nil, err
 			}
 			missing[i] = true
@@ -287,9 +287,10 @@ func (c *Coordinator) SearchBounds(ctx context.Context, q Query, b *BoundsSet) (
 // single-node answer bit for bit.
 //
 // A shard down past its retry budget in either round is dropped from the
-// query and named in Outcome.Missing — degraded, never failed. A 4xx from
-// any shard means the query itself is at fault and is returned as a
-// *ShardError. Only when every shard is missing does Search fail with
+// query and named in Outcome.Missing — degraded, never failed; a shard
+// still shedding load (429) past its budget counts as down. Any other
+// 4xx means the query itself is at fault (QueryFault) and is returned as
+// a *ShardError. Only when every shard is missing does Search fail with
 // ErrNoShards.
 func (c *Coordinator) Search(ctx context.Context, q Query) (*Outcome, error) {
 	if len(q.Vector) == 0 {

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"threedess/internal/retry"
 	"threedess/internal/shapedb"
 	"threedess/internal/workpool"
 )
@@ -246,14 +247,7 @@ func (rl *rateLimiter) wait(ctx context.Context) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return retry.Sleep(ctx, d)
 }
 
 // ScrubOnce runs one full integrity pass: every record is re-verified

@@ -6,11 +6,11 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"threedess/internal/core"
+	"threedess/internal/retry"
 )
 
 // Brownout serving: the binary admission gate becomes a ladder. As
@@ -168,30 +168,15 @@ func (s *Server) currentTier() Tier {
 	return tier
 }
 
-// retryAfterSeconds derives the Retry-After hint from live pressure: the
-// expected time for a slot to free (the latency EWMA) scaled by how
-// contended the gate is, clamped to [1, 30]. This replaces the historical
-// hardcoded "1" — under a 10-second-scan pileup, "come back in 1s" just
-// synchronized the stampede.
-func (s *Server) retryAfterSeconds() int {
-	lat := s.press.latency()
-	if lat <= 0 {
-		return 1
-	}
-	secs := int(math.Ceil(lat.Seconds() * (1 + 3*s.gateFraction())))
-	if secs < 1 {
-		return 1
-	}
-	if secs > 30 {
-		return 30
-	}
-	return secs
-}
-
-// setRetryAfter stamps the pressure-derived hint on a shed/refused
-// response.
+// setRetryAfter stamps a Retry-After hint derived from live pressure on
+// a shed/refused response: the expected time for a slot to free (the
+// latency EWMA) scaled by how contended the gate is, clamped to [1, 30]
+// by retry.SetAfter. This replaces the historical hardcoded "1" — under
+// a 10-second-scan pileup, "come back in 1s" just synchronized the
+// stampede.
 func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+	lat := s.press.latency()
+	retry.SetAfter(w.Header(), time.Duration(float64(lat)*(1+3*s.gateFraction())))
 }
 
 // shedSearchFromCache is the ladder's floor, running when the admission

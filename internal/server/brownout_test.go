@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -130,17 +131,26 @@ func TestTierFromPressure(t *testing.T) {
 		t.Errorf("tier with 3s EWMA at empty gate = %v, want coarse", got)
 	}
 	// Retry-After scales with the latency signal and clamps to [1, 30].
-	if secs := api.retryAfterSeconds(); secs < 3 || secs > 30 {
+	hint := func() int {
+		rec := httptest.NewRecorder()
+		api.setRetryAfter(rec)
+		secs, err := strconv.Atoi(rec.Header().Get("Retry-After"))
+		if err != nil {
+			t.Fatalf("Retry-After %q: %v", rec.Header().Get("Retry-After"), err)
+		}
+		return secs
+	}
+	if secs := hint(); secs < 3 || secs > 30 {
 		t.Errorf("Retry-After = %d, want within [3, 30] under a 3s EWMA", secs)
 	}
 	api.press.ewmaNanos.Store(int64(10 * time.Minute))
 	release = fillGate(t, api, 8)
-	if secs := api.retryAfterSeconds(); secs != 30 {
+	if secs := hint(); secs != 30 {
 		t.Errorf("Retry-After = %d, want clamped to 30", secs)
 	}
 	release()
 	api.press.ewmaNanos.Store(0)
-	if secs := api.retryAfterSeconds(); secs != 1 {
+	if secs := hint(); secs != 1 {
 		t.Errorf("Retry-After with no history = %d, want 1", secs)
 	}
 }

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -10,13 +10,13 @@ import (
 	mathrand "math/rand/v2"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"threedess/internal/geom"
 	"threedess/internal/replica"
+	"threedess/internal/retry"
 	"threedess/internal/scatter"
 )
 
@@ -181,24 +181,10 @@ func (c *Client) doCapture(method, path, idemKey string, body, out any, capture 
 			lastErr = err
 			readOverride = ""
 			c.failEndpoint(base)
-			c.backoff(attempt + 1)
+			c.sleepFor(retry.Backoff(attempt+1, retryBase, retryCap))
 			continue
 		}
 		switch {
-		case resp.StatusCode == http.StatusTooManyRequests && attempt < attempts-1:
-			// Admission-gate shed: the handler never ran, so resending is
-			// side-effect free for every method. Honor the server's
-			// Retry-After hint when present.
-			wait, ok := retryAfter(resp)
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			lastErr = fmt.Errorf("server: HTTP %d", http.StatusTooManyRequests)
-			if ok {
-				c.sleepFor(wait)
-			} else {
-				c.backoff(attempt + 1)
-			}
-			continue
 		case resp.StatusCode == http.StatusServiceUnavailable &&
 			resp.Header.Get(replica.PrimaryHeader) != "" && attempt < attempts-1:
 			// Role or staleness refusal from a standby (or fenced
@@ -211,14 +197,13 @@ func (c *Client) doCapture(method, path, idemKey string, body, out any, capture 
 			} else {
 				c.retarget(resp.Header.Get(replica.PrimaryHeader))
 			}
-			wait, hasHint := retryAfter(resp)
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			lastErr = fmt.Errorf("server: HTTP %d (not primary)", resp.StatusCode)
 			// Role refusals carry no Retry-After and resend immediately; a
 			// refusal that does carry one (e.g. the pointed-at primary is
 			// itself fenced read-only) says when retrying becomes useful.
-			if hasHint {
+			if wait, hinted := retry.After(resp.Header); hinted {
 				c.sleepFor(wait)
 			}
 			continue
@@ -231,36 +216,33 @@ func (c *Client) doCapture(method, path, idemKey string, body, out any, capture 
 			// right. A 409 WITHOUT a ring (an id conflict) is terminal.
 			data, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			var ringBody struct {
-				Error string          `json:"error"`
-				Ring  json.RawMessage `json:"ring"`
-			}
-			if json.Unmarshal(data, &ringBody) != nil || len(ringBody.Ring) == 0 {
+			if _, ok := scatter.DecodeRingState(data); !ok {
 				return responseError(resp.StatusCode, data)
 			}
-			lastErr = fmt.Errorf("server: ring epoch changed: %s", ringBody.Error)
-			c.backoff(attempt + 1)
+			lastErr = fmt.Errorf("server: ring epoch changed: %s", retry.Message(data))
+			c.sleepFor(retry.Backoff(attempt+1, retryBase, retryCap))
 			continue
-		case resp.StatusCode >= 500 && resendable && attempt < attempts-1:
-			wait, hasHint := retryAfter(resp)
+		case retry.Transient(resp.StatusCode) && attempt < attempts-1 &&
+			(resendable || resp.StatusCode == http.StatusTooManyRequests):
+			// An admission-gate shed (429) never reached a handler, so
+			// resending it is side-effect free for every method; a 5xx may
+			// have, so only a resendable request goes again. Either way
+			// the server's Retry-After hint, when present, sets the wait.
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			lastErr = fmt.Errorf("server: HTTP %d", resp.StatusCode)
-			if resp.StatusCode == http.StatusServiceUnavailable && !hasHint {
+			wait, hinted := retry.Wait(attempt+1, retryBase, retryCap, resp.Header)
+			if resp.StatusCode == http.StatusServiceUnavailable && !hinted {
 				// Could be a draining or freshly-demoted node with no
 				// pointer to offer; try the next endpoint.
 				readOverride = ""
 				c.failEndpoint(base)
 			}
-			if hasHint {
-				// A 503 with Retry-After is a live node shedding work or
-				// fenced read-only (disk full): it still serves reads and
-				// will take writes again once healed, so keep it in the
-				// rotation and come back when it said to.
-				c.sleepFor(wait)
-			} else {
-				c.backoff(attempt + 1)
-			}
+			// A 503 with Retry-After is a live node shedding work or
+			// fenced read-only (disk full): it still serves reads and will
+			// take writes again once healed, so keep it in the rotation and
+			// come back when it said to.
+			c.sleepFor(wait)
 			continue
 		}
 		if capture != nil {
@@ -326,29 +308,6 @@ func (c *Client) retarget(primary string) {
 	c.override = primary
 }
 
-// retryAfter parses a Retry-After header: the delta-seconds form the
-// 3DESS server emits, or the RFC 9110 HTTP-date form other servers and
-// intermediaries send (RFC 1123 and its obsolete fallbacks, via
-// http.ParseTime). A date already in the past means "retry now" — a zero
-// wait, not a parse failure.
-func retryAfter(resp *http.Response) (time.Duration, bool) {
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0, false
-	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		// Negative delta-seconds clamps to "retry now", matching the past-
-		// date case below — treating it as a parse failure would strand the
-		// client on its slower default backoff for a well-meant hint.
-		return max(time.Duration(secs)*time.Second, 0), true
-	}
-	when, err := http.ParseTime(v)
-	if err != nil {
-		return 0, false
-	}
-	return max(time.Until(when), 0), true
-}
-
 func (c *Client) sleepFor(d time.Duration) {
 	sleep := c.sleep
 	if sleep == nil {
@@ -358,19 +317,9 @@ func (c *Client) sleepFor(d time.Duration) {
 }
 
 func (c *Client) attempt(method, url, idemKey string, payload []byte, read bool) (*http.Response, error) {
-	var rdr io.Reader
-	if payload != nil {
-		rdr = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequest(method, url, rdr)
+	req, err := retry.NewRequest(context.Background(), method, url, idemKey, payload)
 	if err != nil {
 		return nil, err
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if idemKey != "" {
-		req.Header.Set(IdempotencyKeyHeader, idemKey)
 	}
 	if read && c.MaxStaleness > 0 {
 		req.Header.Set(MaxStalenessHeader, c.MaxStaleness.String())
@@ -394,22 +343,6 @@ func newIdemKey() string {
 	return hex.EncodeToString(b[:])
 }
 
-// backoff sleeps before retry number `attempt` (1-based): exponential from
-// retryBase, capped at retryCap, plus up to 50% jitter so a burst of
-// clients hitting a recovering server doesn't retry in lockstep.
-func (c *Client) backoff(attempt int) {
-	d := retryBase << (attempt - 1)
-	if d > retryCap {
-		d = retryCap
-	}
-	d += time.Duration(mathrand.Int64N(int64(d)/2 + 1))
-	sleep := c.sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	sleep(d)
-}
-
 func decodeResponse(resp *http.Response, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
@@ -425,13 +358,7 @@ func decodeResponse(resp *http.Response, out any) error {
 // responseError renders an HTTP error answer, preferring the server's
 // {"error": ...} message over raw bytes.
 func responseError(status int, data []byte) error {
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(data, &e) == nil && e.Error != "" {
-		return fmt.Errorf("server: %s (%d)", e.Error, status)
-	}
-	return fmt.Errorf("server: HTTP %d: %s", status, data)
+	return fmt.Errorf("server: %s (HTTP %d)", retry.Message(data), status)
 }
 
 // ListShapes returns every stored shape's metadata.

@@ -5,13 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
-	"strconv"
 
 	"threedess/internal/core"
 	"threedess/internal/features"
+	"threedess/internal/retry"
 	"threedess/internal/scatter"
 	"threedess/internal/workpool"
 )
@@ -170,13 +169,7 @@ func (s *Server) writeScatterErr(w http.ResponseWriter, err error) {
 	}
 	var brk *scatter.BreakerOpenError
 	if errors.As(err, &brk) && brk.RetryAfter > 0 {
-		secs := int(math.Ceil(brk.RetryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		} else if secs > 30 {
-			secs = 30
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		retry.SetAfter(w.Header(), brk.RetryAfter)
 	} else {
 		s.setRetryAfter(w)
 	}
@@ -381,7 +374,7 @@ func (s *Server) clusterShapes(w http.ResponseWriter, r *http.Request) {
 		var missing []string
 		for i, err := range errs {
 			if err != nil {
-				if status := scatter.HTTPStatus(err); status >= 400 && status < 500 {
+				if scatter.QueryFault(err) {
 					s.writeScatterErr(w, err)
 					return
 				}

@@ -33,6 +33,7 @@ type testCluster struct {
 	coord    *scatter.Coordinator
 	refDB    *shapedb.DB
 	shardDBs []*shapedb.DB
+	shards   []*Server
 	faults   []*replica.FaultRT
 }
 
@@ -90,6 +91,7 @@ func newTestClusterCfg(t *testing.T, shards int, policy scatter.Policy, withFaul
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
 		tc.shardDBs = append(tc.shardDBs, db)
+		tc.shards = append(tc.shards, srv)
 		spec := scatter.ShardSpec{Endpoints: []string{ts.URL}}
 		if withFaults {
 			f := replica.NewFaultRT(nil)

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+
+	"threedess/internal/retry"
 )
 
 // Idempotency keys: a client that times out on a mutating request cannot
@@ -16,7 +18,7 @@ import (
 // IdempotencyKeyHeader carries the client-chosen key on POST /api/shapes
 // and POST /api/shapes/batch. Keys are opaque; clients should use enough
 // randomness that keys never collide across distinct requests.
-const IdempotencyKeyHeader = "Idempotency-Key"
+const IdempotencyKeyHeader = retry.IdempotencyKeyHeader
 
 // lockIdemKey claims the in-flight slot for key, waiting out any request
 // already holding it. The returned release must be called exactly once.

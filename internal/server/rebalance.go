@@ -57,7 +57,7 @@ func (s *Server) checkRingEpoch(w http.ResponseWriter, r *http.Request) bool {
 // handleClusterRing serves the RingState exchange on both roles. The 200
 // body is the bare RingState in effect after the request (what
 // scatter.pushState expects); a fenced rejection is 409 with the state
-// wrapped in {"ring": ...} (what decodeRingState expects).
+// wrapped in {"ring": ...} (what scatter.DecodeRingState expects).
 func (s *Server) handleClusterRing(w http.ResponseWriter, r *http.Request) {
 	c := s.cluster
 	if c == nil {

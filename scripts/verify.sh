@@ -33,8 +33,9 @@ go -C bench test -short ./...
 #   maintenance-vs-traffic mixed-ops test;
 # - replica: protocol, node state machine, network fault injector;
 # - scatter: consistent-hash ring properties, the shard client's
-#   retry/hedge/deadline machinery, the circuit breaker, hedge goroutine
-#   hygiene, and versioned ring-epoch transitions and fencing;
+#   retry/hedge/deadline machinery (Retry-After hints from shards
+#   included), the circuit breaker, hedge goroutine hygiene, and
+#   versioned ring-epoch transitions and fencing;
 # - backup: resumable crash-matrix capture, point-in-time cuts, bit-rot
 #   refusal naming the frame, ring-fenced cluster backup, N→M reshard
 #   restore, and the search-equivalence property.
@@ -60,7 +61,10 @@ go test -race -count=1 ./internal/shapedb/... ./internal/core/... ./internal/fea
 #   mid-copy, partitions mid-verify and during cutover under live traffic);
 # - disaster recovery: backup endpoints, 503 + Retry-After writes and 2xx
 #   reads under the ENOSPC fence, readyz/stats reporting under live mixed
-#   traffic, and the client's Retry-After honoring.
+#   traffic, and the client's Retry-After honoring (the RetryAfter token
+#   matches only TestClientHonorsRetryAfterOn503; the Retry-After parser
+#   is tested in internal/retry, and the coordinator's hint handling in
+#   the scatter race above and TestClusterShedShardIsPartial here).
 go test -race -count=1 -run 'Replication|Chaos|Standby|Fencing|Drain|Readyz|Idempoten|InflatedAck|Failover|CommitNotify|Cluster|Coordinator|Shard|RetryAfter|Tier|Cache|Brownout|Partial|Staleness|ReadSplit|ReplicaReads|ETag|TestRebalance|Backup|Enospc|Retargets' ./internal/server/...
 # Benchrunner perf smoke: the perf figure at toy sizes must produce a
 # BENCH_perf.json that parses with every expected series.
