@@ -6,7 +6,7 @@
 //
 //	3dess [-addr :8080] [-data ./data] [-load-corpus] [-seed 42]
 //	      [-max-inflight 256] [-max-mesh-vertices N] [-max-mesh-triangles N]
-//	      [-scrub-interval 5m] [-reconcile-interval 10m] [-compact-ratio 2.0]
+//	      [-scrub-interval 5m] [-compact-ratio 2.0]
 //
 // With -data the shape database is durable (journal + crash recovery);
 // without it the server is in-memory. -load-corpus generates and ingests
@@ -19,9 +19,9 @@
 //
 // The self-healing maintenance loops run in the background:
 // -scrub-interval paces full integrity scrubs (every record re-verified
-// against its journal frame, damage quarantined), -reconcile-interval
-// paces index↔store reconciliation, and -compact-ratio sets the write
-// amplification at which the journal is compacted automatically. Status
+// against its journal frame, damage quarantined), and -compact-ratio sets
+// the write amplification at which the journal is compacted
+// automatically. Status
 // and manual triggers live at /api/admin/maintenance.
 //
 // Replication: a warm-standby pair is two 3dess processes, both with
@@ -126,7 +126,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long to drain in-flight requests on shutdown")
 	scrubInterval := flag.Duration("scrub-interval", 5*time.Minute, "pause between background integrity scrub passes (0 = disabled)")
 	scrubRate := flag.Int("scrub-rate", 2000, "background scrub throughput cap in records/sec (0 = unthrottled)")
-	reconcileInterval := flag.Duration("reconcile-interval", 10*time.Minute, "pause between index-store reconciliation passes (0 = disabled)")
 	compactRatio := flag.Float64("compact-ratio", 2.0, "journal/live byte amplification that triggers automatic compaction (0 = disabled)")
 	replicateFrom := flag.String("replicate-from", "", "run as warm standby of the primary at this URL (e.g. http://primary:8080)")
 	advertise := flag.String("advertise", "", "this node's reachable URL, required for replication (fencing and client redirects)")
@@ -298,8 +297,8 @@ func main() {
 		}
 	}
 
-	// Self-healing maintenance: background integrity scrubbing,
-	// index<->store reconciliation, and automatic compaction, surfaced at
+	// Self-healing maintenance: background integrity scrubbing and
+	// automatic compaction, surfaced at
 	// /api/admin/maintenance. Stop() runs before db.Close (LIFO defers)
 	// so no pass is mid-flight when the journal handle goes away. A
 	// coordinator holds no corpus, so it runs no maintenance.
@@ -307,7 +306,6 @@ func main() {
 		maintCfg := scrub.DefaultConfig()
 		maintCfg.ScrubInterval = *scrubInterval
 		maintCfg.ScrubRate = *scrubRate
-		maintCfg.ReconcileInterval = *reconcileInterval
 		maintCfg.CompactRatio = *compactRatio
 		if *replicateFrom != "" && maintCfg.CompactRatio > 0 {
 			// A standby's journal must stay a byte-for-byte prefix of the

@@ -1,6 +1,6 @@
 // Package core is the 3DESS search engine — the paper's primary
 // contribution. It ties the feature-extraction pipeline, the shape
-// database, and the R-tree indexes into the query flows of §2.4:
+// database, and its column snapshots into the query flows of §2.4:
 // query-by-example with a chosen feature vector, threshold (similarity)
 // search under the weighted Euclidean measure of Equations 4.3–4.4, top-k
 // search, the multi-step refinement strategy of §4.2, relevance feedback
@@ -17,7 +17,6 @@ import (
 	"threedess/internal/colstore"
 	"threedess/internal/features"
 	"threedess/internal/geom"
-	"threedess/internal/rtree"
 	"threedess/internal/shapedb"
 )
 
@@ -29,8 +28,8 @@ type Engine struct {
 	// (≤ 0 = one per logical CPU). It never changes results, only
 	// throughput.
 	workers int
-	// cstore holds the per-kind columnar descriptor copies every weighted
-	// search scans (weighted.go).
+	// cstore holds the per-kind columnar descriptor copies every search
+	// ranks (weighted.go).
 	cstore *colstore.Manager
 }
 
@@ -74,9 +73,7 @@ type Options struct {
 	// Feature selects which descriptor drives the search.
 	Feature features.Kind
 	// Weights are per-dimension weights of Equation 4.3. Nil means
-	// uniform. Non-nil weights bypass the R-tree (whose metric is
-	// unweighted) and scan the columnar store, like the prototype's
-	// reconfigured queries.
+	// uniform, and is always answered exactly (see Mode).
 	Weights []float64
 	// Threshold is the minimum similarity for SearchThreshold (0..1).
 	Threshold float64
@@ -84,7 +81,8 @@ type Options struct {
 	K int
 	// Mode applies to weighted searches only: ScanAuto (default) and
 	// ScanExact return the exact answer, ScanCoarse the approximate
-	// filter-stage answer of the brownout tier.
+	// filter-stage answer of the brownout tier. An unweighted search runs
+	// as ScanExact whatever Mode says.
 	Mode ScanMode
 	// DMax overrides the Equation-4.4 normalizer (0 = the default: the
 	// bounding-box diagonal of the live rows of the column snapshot the
@@ -177,7 +175,7 @@ func (e *Engine) QueryFeatures(id int64) (features.Set, error) {
 // SearchThreshold returns every shape whose similarity to the query meets
 // opt.Threshold, most similar first (the paper's §4.1 query mode). ctx
 // cancellation (request timeout, client gone, server drain) aborts the
-// weighted scan between blocks and returns the context error.
+// scan between blocks and returns the context error.
 func (e *Engine) SearchThreshold(ctx context.Context, query features.Set, opt Options) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -197,30 +195,20 @@ func (e *Engine) SearchThreshold(ctx context.Context, query features.Set, opt Op
 }
 
 // searchThreshold answers a threshold search from the snapshot st,
-// normalized by opt.DMax or, when that is 0, by st's own DMax. Weighted
-// searches scan st's columns: the prune radius converts the threshold
-// through Equation 4.4 with a hair of slack (the answer is defined on
-// similarities, not distances, and the two predicates can disagree by an
-// ulp at the boundary), and every survivor is then re-checked with the
-// similarity predicate itself. Coarse distances are lower bounds, so a
-// coarse answer can only over-include relative to the exact one, never
-// miss.
+// normalized by opt.DMax or, when that is 0, by st's own DMax. The scan
+// over st's columns prunes at the threshold converted through Equation
+// 4.4 with a hair of slack (the answer is defined on similarities, not
+// distances, and the two predicates can disagree by an ulp at the
+// boundary), and every survivor is then re-checked with the similarity
+// predicate itself. Coarse distances are lower bounds, so a coarse answer
+// can only over-include relative to the exact one, never miss.
 func (e *Engine) searchThreshold(ctx context.Context, st *colstore.Store, qv features.Vector, opt Options) ([]Result, error) {
 	dmax := opt.DMax
 	if dmax == 0 {
 		dmax = st.DMax()
 	}
 	if opt.Weights == nil {
-		// Equation 4.4: similarity ≥ t ⇔ distance ≤ (1−t)·dmax. Serve
-		// through the index.
-		nn, err := e.db.WithinRadius(opt.Feature, qv, (1-opt.Threshold)*dmax)
-		if err != nil {
-			return nil, err
-		}
-		if out, ok := e.indexResults(st, nn, dmax); ok {
-			return out, nil
-		}
-		opt.Mode = ScanExact // the index answer is exact; so is its stand-in
+		opt.Mode = ScanExact // an unweighted answer is never coarse
 	}
 	radius := math.Inf(1)
 	if opt.Threshold > 0 {
@@ -247,8 +235,7 @@ func (e *Engine) searchThreshold(ctx context.Context, st *colstore.Store, qv fea
 }
 
 // SearchTopK returns the opt.K most similar shapes, most similar first.
-// ctx cancellation aborts the weighted scan path between blocks; the
-// indexed path checks it once up front.
+// ctx cancellation aborts the scan between blocks.
 func (e *Engine) SearchTopK(ctx context.Context, query features.Set, opt Options) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -268,8 +255,8 @@ func (e *Engine) SearchTopK(ctx context.Context, query features.Set, opt Options
 }
 
 // searchTopK answers a top-k search from the snapshot st, normalized by
-// opt.DMax or, when that is 0, by st's own DMax. Exact weighted results
-// are bit-identical to ranking every row of st by WeightedDistance — same
+// opt.DMax or, when that is 0, by st's own DMax. Exact results are
+// bit-identical to ranking every row of st by WeightedDistance — same
 // rows, same (distance, id) order, same distances.
 func (e *Engine) searchTopK(ctx context.Context, st *colstore.Store, qv features.Vector, opt Options) ([]Result, error) {
 	dmax := opt.DMax
@@ -277,14 +264,7 @@ func (e *Engine) searchTopK(ctx context.Context, st *colstore.Store, qv features
 		dmax = st.DMax()
 	}
 	if opt.Weights == nil {
-		nn, err := e.db.KNN(opt.Feature, qv, opt.K)
-		if err != nil {
-			return nil, err
-		}
-		if out, ok := e.indexResults(st, nn, dmax); ok {
-			return out, nil
-		}
-		opt.Mode = ScanExact // the index answer is exact; so is its stand-in
+		opt.Mode = ScanExact // an unweighted answer is never coarse
 	}
 	search := st.SearchTopK
 	if opt.Mode == ScanCoarse {
@@ -311,28 +291,6 @@ func sortResults(out []Result) {
 		}
 		return out[i].ID < out[j].ID
 	})
-}
-
-// indexResults resolves the R-tree's neighbors to result rows with one
-// GetMany lock round-trip, normalized by dmax from st. The live index is
-// not st, so the answer stands only when no commit landed since st was
-// taken: versions only grow, so an unchanged version after GetMany means
-// the index, the records and st's box were all one state. ok=false sends
-// the caller to st's own scan instead.
-func (e *Engine) indexResults(st *colstore.Store, nn []rtree.Neighbor, dmax float64) (out []Result, ok bool) {
-	ids := make([]int64, len(nn))
-	for i, n := range nn {
-		ids[i] = n.ID
-	}
-	recs := e.db.GetMany(ids)
-	if e.db.Version() != st.Version() {
-		return nil, false
-	}
-	out = make([]Result, len(nn))
-	for i, n := range nn {
-		out[i] = batchResult(recs[i], n.Dist, dmax)
-	}
-	return out, true
 }
 
 // rowsOf is GetMany against the snapshot st: st's records with the given

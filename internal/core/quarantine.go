@@ -13,8 +13,8 @@ import (
 // source (HTTP upload, batch ingest, CLI file, query-by-example) passes
 // through structural validation with a weld-repair fallback, and every
 // extracted feature vector is checked finite before it can reach the
-// record store or an R-tree. A single NaN coordinate admitted past this
-// boundary would silently corrupt MBR invariants and weighted-distance
+// record store. A single NaN coordinate admitted past this boundary would
+// silently poison the live-row box, the column grids and weighted-distance
 // ordering for every future query.
 
 // SanitizeMesh validates an untrusted mesh, returning a mesh safe to hand

@@ -6,17 +6,18 @@ import (
 	"threedess/internal/colstore"
 )
 
-// ScanMode is what a weighted search asks of its answer. Every weighted
-// search runs on the same substrate — one blocked scan over the columnar
-// store's quantized columns (internal/colstore) — and the mode only says
-// whether survivors of that filter are re-ranked by the exact kernel.
+// ScanMode is what a weighted search asks of its answer. Every search,
+// weighted or not, runs on the same substrate — one blocked scan over the
+// columnar store's quantized columns (internal/colstore) — and the mode
+// only says whether survivors of that filter are re-ranked by the exact
+// kernel. An unweighted search always is: it runs as ScanExact.
 type ScanMode int
 
 const (
-	// ScanAuto, the zero value, asks for the exact answer: R-tree k-NN
-	// seeds a pruning bound, the quantized columns filter rows whose lower
-	// bound already exceeds it, and only survivors reach the exact
-	// Equation-4.3 kernel. A server under brownout may substitute
+	// ScanAuto, the zero value, asks for the exact answer: k-NN on the
+	// snapshot's bulk-loaded R-tree seeds a pruning bound, the quantized
+	// columns filter rows whose lower bound already exceeds it, and only
+	// survivors reach the exact Equation-4.3 kernel. A server under brownout may substitute
 	// ScanCoarse for it.
 	ScanAuto ScanMode = iota
 	// ScanExact is the same search as ScanAuto; on the wire it additionally

@@ -96,7 +96,8 @@ func randomScanDB(t *testing.T, rng *rand.Rand, dir string, n int) *shapedb.DB {
 }
 
 // pmQuery draws a random principal-moment query and one weight vector of
-// each shape the scan must handle: uniform, random, and zero-containing.
+// each shape the scan must handle: uniform, random, zero-containing, and
+// nil (unweighted, which bruteForce ranks as uniform).
 func pmQuery(rng *rand.Rand, db *shapedb.DB) (features.Set, [][]float64) {
 	dim := db.Options().Dim(features.PrincipalMoments)
 	v := make(features.Vector, dim)
@@ -108,18 +109,23 @@ func pmQuery(rng *rand.Rand, db *shapedb.DB) (features.Set, [][]float64) {
 		zeroed[d] = rng.Float64() * 3
 	}
 	zeroed[rng.Intn(dim)] = 0
-	return features.Set{features.PrincipalMoments: v}, [][]float64{uniform, random, zeroed}
+	return features.Set{features.PrincipalMoments: v}, [][]float64{uniform, random, zeroed, nil}
 }
 
 // assertSearch runs one search in every mode against its brute-force
-// answer. ScanAuto and ScanExact must equal want exactly. ScanCoarse must
-// keep its two promises: no Distance above the row's true one (all is the
-// full brute-force ranking), and the same row count (top-k) or a superset
-// of want (threshold).
+// answer. ScanAuto and ScanExact must equal want exactly, and so must
+// ScanCoarse when the search is unweighted: an unweighted answer is never
+// coarse. A weighted ScanCoarse must keep its two promises: no Distance
+// above the row's true one (all is the full brute-force ranking), and the
+// same row count (top-k) or a superset of want (threshold).
 func assertSearch(t *testing.T, label string, search func(context.Context, features.Set, Options) ([]Result, error),
 	query features.Set, opt Options, want, all []Result, superset bool) {
 	t.Helper()
-	for _, opt.Mode = range []ScanMode{ScanAuto, ScanExact} {
+	exact := []ScanMode{ScanAuto, ScanExact}
+	if opt.Weights == nil {
+		exact = append(exact, ScanCoarse)
+	}
+	for _, opt.Mode = range exact {
 		got, err := search(context.Background(), query, opt)
 		if err != nil {
 			t.Fatalf("%s %v: %v", label, opt.Mode, err)
@@ -155,8 +161,8 @@ func assertSearch(t *testing.T, label string, search func(context.Context, featu
 }
 
 // TestWeightedSearchMatchesBruteForce is the equivalence gate for the one
-// weighted-scan path: across corpora (empty, tiny, tie-ridden, multi-block,
-// mutated under the engines' feet), weight shapes, worker counts, K
+// scan path: across corpora (empty, tiny, tie-ridden, multi-block, mutated
+// under the engines' feet), weight shapes (nil included), worker counts, K
 // (including far beyond the corpus) and thresholds (including both
 // boundaries: t=0 keeps every record, t=1 only exact hits), the exact
 // modes must return the brute-force ranking — same ids, same order,
@@ -293,11 +299,10 @@ func TestWeightedSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestIndexedSearchAnswersFromItsSnapshot pins the unweighted R-tree path
-// to the column snapshot it normalizes by. The index is the live one, so
-// a commit between taking the snapshot and reading the index must not
-// leak into the answer: the search stands in with the snapshot's own
-// scan, and every row, distance and similarity is the snapshot's.
+// TestIndexedSearchAnswersFromItsSnapshot pins the unweighted search to
+// the column snapshot it normalizes by: a commit after the snapshot was
+// taken must not leak into the answer, and every row, distance and
+// similarity is the snapshot's.
 func TestIndexedSearchAnswersFromItsSnapshot(t *testing.T) {
 	const kind = features.PrincipalMoments
 	rng := rand.New(rand.NewSource(30))

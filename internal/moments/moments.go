@@ -19,8 +19,8 @@ import (
 
 // MaxOrder is the highest total moment order (l+m+n) the Set type stores.
 // The paper's descriptors need order ≤ 2; orders 3-4 serve the
-// "higher order invariants" extension and the half-space disambiguation
-// rule during normalization.
+// "higher order invariants" extension. (Normalization's half-space
+// disambiguation reads the mesh's bounding box, not third-order moments.)
 const MaxOrder = 4
 
 // Set holds all moments m_lmn with l+m+n ≤ MaxOrder, indexed by the three

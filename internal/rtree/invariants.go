@@ -4,9 +4,8 @@ import "fmt"
 
 // ForEachEntry calls fn for every stored (leaf) entry. fn returning false
 // stops the walk early. Unlike Search it visits everything and does not
-// touch the node-access counter — it is an administrative walk, used by
-// the shapedb index↔store reconciler to diff index contents against the
-// record set, not a query.
+// touch the node-access counter — it is an administrative walk (tests
+// diff a tree's contents against their inputs with it), not a query.
 func (t *Tree) ForEachEntry(fn func(id int64, r Rect) bool) {
 	t.forEachEntry(t.root, fn)
 }
@@ -44,9 +43,7 @@ func (t *Tree) forEachEntry(n *node, fn func(id int64, r Rect) bool) bool {
 //     nodes carry children and no ids; Len() equals the number of leaf
 //     entries.
 //
-// It returns the first violation found (nil when the tree is sound). The
-// reconciler runs it before trusting an index's contents, and escalates
-// to a full rebuild when it fails.
+// It returns the first violation found (nil when the tree is sound).
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
 		return fmt.Errorf("rtree: nil root")

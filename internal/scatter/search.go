@@ -186,15 +186,7 @@ func (c *Coordinator) SearchBounds(ctx context.Context, q Query, b *BoundsSet) (
 		Threshold:   q.Threshold,
 		ScanMode:    q.ScanMode,
 		DMax:        &dmax,
-		// Nil weights are canonicalized to explicit uniform ones:
-		// arithmetically identical under Equation 4.3, but they steer every
-		// shard onto the weighted-scan path, whose (distance, id) tie order
-		// is canonical — the unweighted path's R-tree traversal order is
-		// not, and the merge must not depend on it.
-		Weights: q.Weights,
-	}
-	if req.Weights == nil {
-		req.Weights = uniformWeights(len(q.Vector))
+		Weights:     q.Weights,
 	}
 	if q.Threshold == nil {
 		req.K = q.K
@@ -333,14 +325,6 @@ func mergeDMax(bounds []shardBounds, missing []bool) float64 {
 		}
 	}
 	return colstore.Diagonal(lo, hi)
-}
-
-func uniformWeights(dim int) []float64 {
-	w := make([]float64, dim)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
 }
 
 // JoinMissing renders an Outcome's missing-shard list for the

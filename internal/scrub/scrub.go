@@ -1,15 +1,14 @@
 // Package scrub is the self-healing maintenance layer over a shapedb.DB:
 // a background integrity scrubber that re-verifies every record against
-// its on-disk journal frame and quarantines what fails, an index↔store
-// reconciler that repairs R-tree divergence, and a compaction policy
-// engine that rewrites the journal when write amplification, dead
-// entries, or unhealed quarantines warrant it. One Maintainer owns all
-// three; each also runs on demand (ScrubOnce / ReconcileOnce /
-// TriggerCompact) for the admin endpoint.
+// its on-disk journal frame and quarantines what fails, and a compaction
+// policy engine that rewrites the journal when write amplification, dead
+// entries, or unhealed quarantines warrant it. One Maintainer owns both
+// loops; each also runs on demand (ScrubOnce / TriggerCompact) for the
+// admin endpoint.
 //
-// The division of labor: shapedb knows *how* to verify, quarantine,
-// reconcile, and compact; this package decides *when*, at what rate, and
-// keeps the reports.
+// The division of labor: shapedb knows *how* to verify, quarantine, and
+// compact; this package decides *when*, at what rate, and keeps the
+// reports.
 package scrub
 
 import (
@@ -23,7 +22,7 @@ import (
 	"threedess/internal/workpool"
 )
 
-// Config tunes the three maintenance loops. A zero interval disables the
+// Config tunes the two maintenance loops. A zero interval disables the
 // corresponding background loop (the on-demand entry points still work).
 type Config struct {
 	// ScrubInterval is the pause between full scrub passes.
@@ -34,14 +33,6 @@ type Config struct {
 	ScrubRate int
 	// Workers is the scrub fan-out (resolved via workpool.Resolve).
 	Workers int
-
-	// ReconcileInterval is the pause between index↔store reconciliation
-	// passes.
-	ReconcileInterval time.Duration
-	// DivergenceThreshold is the divergent-entry fraction past which a
-	// kind's index is rebuilt and swapped instead of patched in place.
-	// <= 0 takes shapedb.DefaultRebuildThreshold.
-	DivergenceThreshold float64
 
 	// CompactCheckInterval is the pause between compaction-policy
 	// evaluations (the check is cheap; actual compaction only runs when
@@ -71,7 +62,6 @@ func DefaultConfig() Config {
 	return Config{
 		ScrubInterval:        5 * time.Minute,
 		ScrubRate:            2000,
-		ReconcileInterval:    10 * time.Minute,
 		CompactCheckInterval: time.Minute,
 		CompactRatio:         2.0,
 		CompactMinDead:       4096,
@@ -111,13 +101,11 @@ type CompactReport struct {
 
 // Status is the full maintenance picture served by the admin endpoint.
 type Status struct {
-	Running       bool                     `json:"running"`
-	ScrubRuns     int                      `json:"scrub_runs"`
-	ReconcileRuns int                      `json:"reconcile_runs"`
-	CompactRuns   int                      `json:"compact_runs"`
-	LastScrub     *ScrubReport             `json:"last_scrub,omitempty"`
-	LastReconcile *shapedb.ReconcileReport `json:"last_reconcile,omitempty"`
-	LastCompact   *CompactReport           `json:"last_compact,omitempty"`
+	Running     bool           `json:"running"`
+	ScrubRuns   int            `json:"scrub_runs"`
+	CompactRuns int            `json:"compact_runs"`
+	LastScrub   *ScrubReport   `json:"last_scrub,omitempty"`
+	LastCompact *CompactReport `json:"last_compact,omitempty"`
 	// Recovery is the journal replay report from startup, kept so the
 	// operator can inspect what (if anything) recovery discarded long
 	// after the log line scrolled away.
@@ -134,10 +122,8 @@ type Maintainer struct {
 	mu            sync.Mutex
 	running       bool
 	scrubRuns     int
-	reconcileRuns int
 	compactRuns   int
 	lastScrub     *ScrubReport
-	lastReconcile *shapedb.ReconcileReport
 	lastCompact   *CompactReport
 	lastCompactAt time.Time
 
@@ -211,7 +197,6 @@ func (m *Maintainer) run(ctx context.Context) {
 		}()
 	}
 	loop(m.cfg.ScrubInterval, func(ctx context.Context) { m.ScrubOnce(ctx) })
-	loop(m.cfg.ReconcileInterval, func(context.Context) { m.ReconcileOnce() })
 	loop(m.cfg.CompactCheckInterval, func(context.Context) { m.CompactIfNeeded() })
 	wg.Wait()
 }
@@ -298,21 +283,6 @@ func (m *Maintainer) ScrubOnce(ctx context.Context) *ScrubReport {
 	return rep
 }
 
-// ReconcileOnce runs one index↔store reconciliation pass and retains the
-// report for Status.
-func (m *Maintainer) ReconcileOnce() *shapedb.ReconcileReport {
-	rep := m.db.ReconcileIndexes(m.cfg.DivergenceThreshold)
-	if !rep.Clean() {
-		m.logf("reconcile: %d divergent entries across %d kinds: %d repaired, %d rebuilds",
-			rep.Divergent, len(rep.Kinds), rep.Repaired, rep.Rebuilds)
-	}
-	m.mu.Lock()
-	m.reconcileRuns++
-	m.lastReconcile = rep
-	m.mu.Unlock()
-	return rep
-}
-
 // CompactIfNeeded evaluates the compaction policy and, when a trigger
 // fires, runs compaction online (readers and writers keep going; only
 // the final swap blocks briefly). Returns the report when a compaction
@@ -388,13 +358,11 @@ func (m *Maintainer) compact(trigger string, before shapedb.JournalStats) *Compa
 func (m *Maintainer) Status() Status {
 	m.mu.Lock()
 	st := Status{
-		Running:       m.running,
-		ScrubRuns:     m.scrubRuns,
-		ReconcileRuns: m.reconcileRuns,
-		CompactRuns:   m.compactRuns,
-		LastScrub:     m.lastScrub,
-		LastReconcile: m.lastReconcile,
-		LastCompact:   m.lastCompact,
+		Running:     m.running,
+		ScrubRuns:   m.scrubRuns,
+		CompactRuns: m.compactRuns,
+		LastScrub:   m.lastScrub,
+		LastCompact: m.lastCompact,
 	}
 	m.mu.Unlock()
 	st.Recovery = m.db.Recovery()

@@ -238,7 +238,6 @@ func TestMaintainerBackgroundLifecycle(t *testing.T) {
 	}
 	m := New(db, Config{
 		ScrubInterval:        5 * time.Millisecond,
-		ReconcileInterval:    7 * time.Millisecond,
 		CompactCheckInterval: 5 * time.Millisecond,
 		CompactRatio:         2.0,
 		Workers:              2,
@@ -248,7 +247,7 @@ func TestMaintainerBackgroundLifecycle(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		st := m.Status()
-		if st.ScrubRuns > 0 && st.ReconcileRuns > 0 {
+		if st.ScrubRuns > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -270,9 +269,9 @@ func TestMaintainerBackgroundLifecycle(t *testing.T) {
 }
 
 // TestMaintenanceConcurrentMixedOps extends the DB's mixed-ops race test
-// across the maintenance loops: scrubbing, reconciliation, and
-// auto-compaction all run at aggressive intervals while inserts, deletes,
-// and KNN queries hammer the store. Run under -race this is the
+// across the maintenance loops: scrubbing and auto-compaction both run
+// at aggressive intervals while inserts, deletes, and KNN queries hammer
+// the store. Run under -race this is the
 // lock-discipline proof for the whole self-healing layer.
 func TestMaintenanceConcurrentMixedOps(t *testing.T) {
 	db, _ := openDB(t)
@@ -285,7 +284,6 @@ func TestMaintenanceConcurrentMixedOps(t *testing.T) {
 		ScrubInterval:        time.Millisecond,
 		ScrubRate:            0, // unthrottled: maximize interleaving
 		Workers:              4,
-		ReconcileInterval:    time.Millisecond,
 		CompactCheckInterval: time.Millisecond,
 		CompactRatio:         1.5,
 		CompactMinDead:       10,
@@ -366,9 +364,6 @@ func TestMaintenanceConcurrentMixedOps(t *testing.T) {
 	m.Stop()
 
 	// Quiesced: the store must be fully self-consistent.
-	if rep := db.VerifyIndexes(); !rep.Clean() {
-		t.Fatalf("index<->store divergence after mixed ops: %+v", rep)
-	}
 	final := m.ScrubOnce(context.Background())
 	if len(final.Findings) != 0 {
 		t.Fatalf("scrub findings after mixed ops: %+v", final.Findings)

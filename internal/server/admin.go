@@ -10,7 +10,7 @@ import (
 
 // The maintenance admin surface: GET /api/admin/maintenance reports the
 // self-healing subsystem's state (background loop counters, last scrub /
-// reconcile / compaction reports, the startup recovery report, journal
+// compaction reports, the startup recovery report, journal
 // statistics, and the quarantine list); POST triggers one pass manually.
 // The Maintainer is optional — embedded servers and tests that never call
 // SetMaintenance get 503 from the endpoint, not a nil dereference.
@@ -24,7 +24,7 @@ func (s *Server) SetMaintenance(m *scrub.Maintainer) {
 
 // AdminActionRequest is the POST body of /api/admin/maintenance.
 type AdminActionRequest struct {
-	// Action is one of "scrub", "reconcile", "compact".
+	// Action is one of "scrub", "compact".
 	Action string `json:"action"`
 }
 
@@ -46,8 +46,6 @@ func (s *Server) handleMaintenance(w http.ResponseWriter, r *http.Request) {
 		switch req.Action {
 		case "scrub":
 			writeJSON(w, http.StatusOK, m.ScrubOnce(r.Context()))
-		case "reconcile":
-			writeJSON(w, http.StatusOK, m.ReconcileOnce())
 		case "compact":
 			rep := m.TriggerCompact()
 			status := http.StatusOK
@@ -58,7 +56,7 @@ func (s *Server) handleMaintenance(w http.ResponseWriter, r *http.Request) {
 			}
 			writeJSON(w, status, rep)
 		default:
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown action %q (want scrub, reconcile, or compact)", req.Action))
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown action %q (want scrub or compact)", req.Action))
 		}
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"threedess/internal/core"
@@ -101,15 +102,16 @@ func TestMaintenanceStatusAndTriggers(t *testing.T) {
 		t.Fatalf("scrub action (%d): %+v", resp.StatusCode, srep)
 	}
 
-	// POST reconcile.
+	// POST reconcile: not an action; the refusal names the ones there are.
 	resp = postAction(t, url, "reconcile")
-	var rrep shapedb.ReconcileReport
-	if err := json.NewDecoder(resp.Body).Decode(&rrep); err != nil {
+	var rerr map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&rerr); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !rrep.Clean() {
-		t.Fatalf("reconcile action (%d): %+v", resp.StatusCode, rrep)
+	if msg := rerr["error"]; resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(msg, "scrub") || !strings.Contains(msg, "compact") {
+		t.Fatalf("reconcile action (%d): %v", resp.StatusCode, rerr)
 	}
 
 	// POST compact after deletes: dead entries reclaimed.
@@ -131,7 +133,7 @@ func TestMaintenanceStatusAndTriggers(t *testing.T) {
 		t.Fatalf("compaction reclaimed nothing: %+v", crep)
 	}
 
-	// Status reflects all three runs.
+	// Status reflects both runs.
 	resp, err = http.Get(url + "/api/admin/maintenance")
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +142,10 @@ func TestMaintenanceStatusAndTriggers(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.ScrubRuns != 1 || st.ReconcileRuns != 1 || st.CompactRuns != 1 {
+	if st.ScrubRuns != 1 || st.CompactRuns != 1 {
 		t.Fatalf("status counters: %+v", st)
 	}
-	if st.LastScrub == nil || st.LastReconcile == nil || st.LastCompact == nil {
+	if st.LastScrub == nil || st.LastCompact == nil {
 		t.Fatalf("status missing reports: %+v", st)
 	}
 

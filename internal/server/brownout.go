@@ -68,9 +68,9 @@ func (t Tier) String() string {
 // tier swaps ScanAuto for ScanCoarse, while an explicit "exact" is honored
 // (the client opted out of approximation). coarse reports whether the
 // filter stage will be the answer. Only weighted searches have a coarse
-// form — unweighted ones are answered exactly by the R-tree whatever the
-// mode says — so only then is a response marked `X-Degraded: coarse` and
-// kept out of the cache.
+// form — the engine answers unweighted ones exactly whatever the mode
+// says — so only then is a response marked `X-Degraded: coarse` and kept
+// out of the cache.
 func coarseMode(mode core.ScanMode, tier Tier, weights []float64) (_ core.ScanMode, coarse bool) {
 	if tier == TierCoarse && mode == core.ScanAuto {
 		mode = core.ScanCoarse

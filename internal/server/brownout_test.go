@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -292,7 +293,7 @@ func TestCoarseTierMarksTruthfully(t *testing.T) {
 		t.Errorf("explicit exact request degraded to %q", got)
 	}
 
-	// Unweighted queries ride the cheap R-tree path: nothing to degrade.
+	// Unweighted queries are always answered exactly: nothing to degrade.
 	plain := SearchRequest{
 		QueryVector: []float64{0.3, 0.7, 0.4},
 		Feature:     features.PrincipalMoments.String(),
@@ -302,8 +303,8 @@ func TestCoarseTierMarksTruthfully(t *testing.T) {
 	if got := resp.Header.Get(DegradedHeader); got != "" {
 		t.Errorf("unweighted query degraded to %q", got)
 	}
-	// Asking for coarse by name changes nothing: the R-tree answered, so
-	// the answer is exact — unmarked, and the entry just filled serves it.
+	// Asking for coarse by name changes nothing: the answer is exact —
+	// unmarked, and the entry just filled serves it.
 	plain.ScanMode = "coarse"
 	resp, _ = postSearch(t, ts.URL, plain, nil)
 	if deg, xc := resp.Header.Get(DegradedHeader), resp.Header.Get(CacheHeader); deg != "" || xc != "hit" {
@@ -588,13 +589,28 @@ func TestCoordinatorCoarseTier(t *testing.T) {
 		t.Errorf("explicit exact cluster search degraded to %q", got)
 	}
 
-	// An unweighted search is answered exactly by every shard's R-tree
-	// even when it names coarse: unmarked and cacheable.
+	// An unweighted search is answered exactly by every shard even when
+	// it names coarse: unmarked, cacheable, and the exact answer.
 	plain := weightedQuery(5)
 	plain.Weights = nil
 	plain.ScanMode = core.ScanCoarse.String()
-	resp, _ = postSearch(t, tc.coordURL, plain, nil)
+	resp, body = postSearch(t, tc.coordURL, plain, nil)
 	if deg, xc := resp.Header.Get(DegradedHeader), resp.Header.Get(CacheHeader); deg != "" || xc != "fill" {
 		t.Errorf("unweighted scan_mode=coarse cluster search: X-Degraded %q, X-Cache %q; want unmarked fill", deg, xc)
+	}
+	// Unit weights are a different cache key with the same exact answer.
+	unit := weightedQuery(5)
+	unit.Weights = []float64{1, 1, 1}
+	unit.ScanMode = core.ScanExact.String()
+	_, exactBody := postSearch(t, tc.coordURL, unit, nil)
+	var named, exactRes []SearchResult
+	if err := json.Unmarshal(body, &named); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(exactBody, &exactRes); err != nil {
+		t.Fatal(err)
+	}
+	if len(named) == 0 || !reflect.DeepEqual(named, exactRes) {
+		t.Errorf("unweighted scan_mode=coarse cluster answer is not the exact one\ngot:  %+v\nwant: %+v", named, exactRes)
 	}
 }

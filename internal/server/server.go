@@ -972,11 +972,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Role:   s.clusterRoleName(),
 		MaxID:  db.MaxID(),
 	}
+	carried := map[features.Kind]bool{}
 	for _, rec := range snap {
 		resp.Groups[strconv.Itoa(rec.Group)]++
+		for k := range rec.Features {
+			carried[k] = true
+		}
 	}
 	for _, k := range features.AllKinds {
-		if db.HasIndex(k) {
+		if carried[k] {
 			resp.Features = append(resp.Features, k.String())
 		}
 	}

@@ -1,9 +1,10 @@
 // Package shapedb is the DATABASE tier of 3DESS (§2.3): a concurrency-safe
-// shape record store with per-feature R-tree indexes kept in sync on every
-// insert and delete, durable via an append-only CRC-checked journal with
+// shape record store, durable via an append-only CRC-checked journal with
 // crash recovery and compaction. It substitutes for the paper's Oracle 8i
 // installation while preserving the architecture: "the multi-dimensional
-// index is built on top of [the] database".
+// index is built on top of [the] database" — the per-kind column
+// snapshots of internal/colstore, each with its bulk-loaded R-tree, are
+// derived from this store's records and version counter.
 package shapedb
 
 import (
@@ -53,7 +54,6 @@ type DB struct {
 	opts    features.Options
 	records map[int64]*Record
 	nextID  int64
-	indexes map[features.Kind]*rtree.Tree
 
 	journal  *journal
 	dir      string
@@ -133,7 +133,6 @@ func OpenFS(dir string, opts features.Options, fsys faultfs.FS) (*DB, error) {
 	db := &DB{
 		opts:        features.NewExtractor(opts).Options(),
 		records:     make(map[int64]*Record),
-		indexes:     make(map[features.Kind]*rtree.Tree),
 		nextID:      1,
 		dir:         dir,
 		fsys:        fsys,
@@ -163,10 +162,11 @@ func OpenFS(dir string, opts features.Options, fsys faultfs.FS) (*DB, error) {
 			if err != nil {
 				return fmt.Errorf("shapedb: journal entry %d: %w", e.ID, err)
 			}
-			// A decodable entry can still carry vectors the index must not
-			// see — non-finite coordinates, or dimensions from a different
-			// option set than this open. Applying it would panic deep in
-			// applyInsert (and poison MBRs); skip it and report instead.
+			// A decodable entry can still carry vectors no search may see —
+			// non-finite coordinates, or dimensions from a different option
+			// set than this open. Applying it would poison the live-row box
+			// and the column grids of every future search; skip it and
+			// report instead.
 			if checkFeatures(db.opts, set) != nil {
 				skipped++
 				return nil
@@ -278,8 +278,8 @@ func (db *DB) Len() int {
 	return len(db.records)
 }
 
-// Insert stores a shape and indexes every feature vector in its set. It
-// returns the assigned database ID.
+// Insert stores a shape with every feature vector in its set. It returns
+// the assigned database ID.
 func (db *DB) Insert(name string, group int, mesh *geom.Mesh, set features.Set) (int64, error) {
 	return db.InsertFull(name, group, mesh, set, nil)
 }
@@ -344,8 +344,8 @@ func (db *DB) InsertFull(name string, group int, mesh *geom.Mesh, set features.S
 // The shape is validated before anything is journaled: the mesh must be
 // structurally sound and every feature vector must have the configured
 // dimension and finite coordinates. A single NaN coordinate would
-// otherwise corrupt R-tree MBR invariants and the feature-space bounds
-// behind every future similarity value.
+// otherwise poison the live-row box behind every future similarity value
+// and the quantization grid of every column scan.
 func (db *DB) InsertWith(name string, group int, mesh *geom.Mesh, set features.Set, o InsertOpts) (int64, error) {
 	if mesh == nil {
 		return 0, fmt.Errorf("shapedb: nil mesh")
@@ -420,8 +420,9 @@ func (db *DB) dropFrame(id int64) {
 	}
 }
 
-// checkFeatures rejects vectors that would violate index invariants:
-// wrong dimension for the database's options, or non-finite coordinates.
+// checkFeatures rejects vectors no search can rank: wrong dimension for
+// the database's options, or non-finite coordinates. It guards every path
+// a record enters by — insert, replay, replication and import.
 func checkFeatures(opts features.Options, set features.Set) error {
 	for k, v := range set {
 		if want := opts.Dim(k); len(v) != want {
@@ -489,22 +490,6 @@ func (db *DB) applyInsert(rec *Record) {
 		}
 		m[rec.IdemIndex] = rec.ID
 	}
-	for k, v := range rec.Features {
-		idx, ok := db.indexes[k]
-		if !ok {
-			var err error
-			idx, err = rtree.New(len(v), rtree.DefaultMaxEntries)
-			if err != nil {
-				panic("shapedb: index creation: " + err.Error())
-			}
-			db.indexes[k] = idx
-		}
-		if err := idx.InsertPoint(rec.ID, rtree.Point(v)); err != nil {
-			// Dimensions were validated up front; a failure here means
-			// non-finite features slipped in.
-			panic("shapedb: index insert: " + err.Error())
-		}
-	}
 }
 
 // Delete removes a shape. It reports whether the id existed.
@@ -538,11 +523,6 @@ func (db *DB) applyDelete(id int64) {
 		return
 	}
 	db.version++
-	for k, v := range rec.Features {
-		if idx, ok := db.indexes[k]; ok {
-			idx.DeletePoint(id, rtree.Point(v))
-		}
-	}
 	delete(db.records, id)
 	db.dropFrame(id)
 	if rec.IdemKey != "" {
@@ -698,42 +678,38 @@ func (db *DB) GroupMembers(group int) []int64 {
 	return out
 }
 
-// HasIndex reports whether any stored shape carries the feature kind.
-func (db *DB) HasIndex(k features.Kind) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	idx, ok := db.indexes[k]
-	return ok && idx.Len() > 0
-}
-
-// KNN returns the k nearest stored shapes to the query vector under the
-// unweighted Euclidean metric of the kind's index.
+// KNN returns the n stored shapes nearest to the query vector under the
+// unweighted Euclidean metric, in (distance, id) order, by an exact linear
+// scan of the live records carrying the kind (none carrying it: an empty
+// answer). Searches go through the engine's column snapshots instead; KNN
+// stays as a plain reference.
 func (db *DB) KNN(k features.Kind, query features.Vector, n int) ([]rtree.Neighbor, error) {
+	if want := db.opts.Dim(k); len(query) != want {
+		return nil, fmt.Errorf("shapedb: query dimension %d, feature %v dimension %d", len(query), k, want)
+	}
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	idx, ok := db.indexes[k]
-	if !ok {
-		return nil, fmt.Errorf("shapedb: no index for feature %v", k)
+	var out []rtree.Neighbor
+	for id, rec := range db.records {
+		if v, ok := rec.Features[k]; ok {
+			sum := 0.0
+			for d := range v {
+				diff := query[d] - v[d]
+				sum += diff * diff
+			}
+			out = append(out, rtree.Neighbor{ID: id, Dist: math.Sqrt(sum)})
+		}
 	}
-	if len(query) != idx.Dim() {
-		return nil, fmt.Errorf("shapedb: query dimension %d, index dimension %d", len(query), idx.Dim())
+	db.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Dist != out[j].Dist {
+			return out[i].Dist < out[j].Dist
+		}
+		return out[i].ID < out[j].ID
+	})
+	if n < len(out) {
+		out = out[:max(n, 0)]
 	}
-	return idx.NearestNeighbors(n, rtree.Point(query)), nil
-}
-
-// WithinRadius returns every stored shape within the given feature-space
-// distance of the query vector, nearest first.
-func (db *DB) WithinRadius(k features.Kind, query features.Vector, radius float64) ([]rtree.Neighbor, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	idx, ok := db.indexes[k]
-	if !ok {
-		return nil, fmt.Errorf("shapedb: no index for feature %v", k)
-	}
-	if len(query) != idx.Dim() {
-		return nil, fmt.Errorf("shapedb: query dimension %d, index dimension %d", len(query), idx.Dim())
-	}
-	return idx.WithinRadius(rtree.Point(query), radius), nil
+	return out, nil
 }
 
 // MaxID returns the highest record id ever assigned (0 for a fresh
@@ -745,16 +721,19 @@ func (db *DB) MaxID() int64 {
 	return db.nextID - 1
 }
 
-// IndexStats returns (node accesses, tree height, entry count) for the
-// kind's index, for the §2.3 efficiency experiments.
+// IndexStats returns (0, 0, live rows carrying the kind). The database
+// keeps no index of its own — the §2.3 index is the column snapshot's
+// bulk-loaded tree — so there are no node accesses or height to report;
+// the signature is kept for callers that still read the row count.
 func (db *DB) IndexStats(k features.Kind) (accesses, height, count int) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	idx, ok := db.indexes[k]
-	if !ok {
-		return 0, 0, 0
+	for _, rec := range db.records {
+		if _, ok := rec.Features[k]; ok {
+			count++
+		}
 	}
-	return idx.NodeAccesses(), idx.Height(), idx.Len()
+	return 0, 0, count
 }
 
 // ErrCompactionInProgress is returned by Compact when another compaction

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"threedess/internal/faultfs"
 	"threedess/internal/features"
 	"threedess/internal/geom"
 )
@@ -124,18 +125,32 @@ func TestKNNAndRadius(t *testing.T) {
 	if len(nn) != 2 || nn[0].ID != ids[2] {
 		t.Errorf("KNN = %+v, want nearest %d", nn, ids[2])
 	}
-	within, err := db.WithinRadius(features.PrincipalMoments, q, 5)
+	// The full ranking is every row in (distance, id) order; only the
+	// nearest lies within radius 5.
+	all, err := db.KNN(features.PrincipalMoments, q, len(ids)+3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(within) != 1 || within[0].ID != ids[2] {
-		t.Errorf("WithinRadius = %+v", within)
+	if len(all) != len(ids) {
+		t.Fatalf("KNN past the corpus returned %d rows, want %d", len(all), len(ids))
+	}
+	var within []int64
+	for i, n := range all {
+		if i > 0 && (n.Dist < all[i-1].Dist || n.Dist == all[i-1].Dist && n.ID < all[i-1].ID) {
+			t.Errorf("KNN out of (distance, id) order at %d: %+v", i, all)
+		}
+		if n.Dist <= 5 {
+			within = append(within, n.ID)
+		}
+	}
+	if len(within) != 1 || within[0] != ids[2] {
+		t.Errorf("rows within radius 5 = %v, want [%d]", within, ids[2])
 	}
 	if _, err := db.KNN(features.Eigenvalues, q, 1); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	if _, err := db.KNN(features.ShapeDistribution, make(features.Vector, db.Options().Dim(features.ShapeDistribution)), 1); err == nil {
-		t.Error("missing index accepted")
+	if nn, err := db.KNN(features.ShapeDistribution, make(features.Vector, db.Options().Dim(features.ShapeDistribution)), 1); err != nil || len(nn) != 0 {
+		t.Errorf("kind no row carries: KNN = %+v, %v; want empty", nn, err)
 	}
 }
 
@@ -339,6 +354,66 @@ func TestCompactInMemoryNoop(t *testing.T) {
 	}
 }
 
+// blockingRenameFS stalls Rename until released, keeping a compaction
+// in-flight long enough for a second call to race it.
+type blockingRenameFS struct {
+	faultfs.FS
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingRenameFS) Rename(oldpath, newpath string) error {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.FS.Rename(oldpath, newpath)
+}
+
+func TestCompactConcurrentInvocationGuard(t *testing.T) {
+	// entered is buffered so renames after the choreographed one (the
+	// final sanity compaction below) pass straight through; release is
+	// closed once, and a closed channel never blocks receivers.
+	bfs := &blockingRenameFS{
+		FS:      faultfs.OS{},
+		entered: make(chan struct{}, 4),
+		release: make(chan struct{}),
+	}
+	db, err := OpenFS(t.TempDir(), features.Options{}, bfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var ids []int64
+	for i := 0; i < 6; i++ {
+		ids = append(ids, testRecord(t, db, "g", 0, float64(i)))
+	}
+	for _, id := range ids[:3] {
+		if _, err := db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := make(chan error, 1)
+	go func() { first <- db.Compact() }()
+	<-bfs.entered // first compaction is mid-rename, still holding the guard
+	// The racing call must return the sentinel immediately — it cannot
+	// block on db.mu (the first holds it) because the guard is checked
+	// before the lock.
+	if err := db.Compact(); err != ErrCompactionInProgress {
+		t.Fatalf("racing Compact returned %v, want ErrCompactionInProgress", err)
+	}
+	close(bfs.release)
+	if err := <-first; err != nil {
+		t.Fatalf("first Compact failed: %v", err)
+	}
+	// Guard released: a later compaction succeeds.
+	if err := db.Compact(); err != nil {
+		t.Fatalf("post-race Compact failed: %v", err)
+	}
+	st := db.Stats()
+	if st.LiveRecords != 3 || st.DeadEntries != 0 {
+		t.Fatalf("post-compaction stats: %+v", st)
+	}
+}
+
 func TestConcurrentReadsDuringWrites(t *testing.T) {
 	db, _ := Open("", features.Options{})
 	defer db.Close()
@@ -367,22 +442,25 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 	}
 }
 
-func TestHasIndexAndStats(t *testing.T) {
+func TestIndexStatsCountsLiveRows(t *testing.T) {
 	db, _ := Open("", features.Options{})
 	defer db.Close()
-	if db.HasIndex(features.PrincipalMoments) {
-		t.Error("empty DB has index")
+	if _, _, c := db.IndexStats(features.PrincipalMoments); c != 0 {
+		t.Errorf("empty DB counts %d rows", c)
 	}
-	testRecord(t, db, "a", 0, 0)
-	if !db.HasIndex(features.PrincipalMoments) {
-		t.Error("index missing after insert")
+	a := testRecord(t, db, "a", 0, 0)
+	testRecord(t, db, "b", 0, 1)
+	if acc, height, count := db.IndexStats(features.PrincipalMoments); acc != 0 || height != 0 || count != 2 {
+		t.Errorf("stats = (%d, %d, %d), want (0, 0, 2)", acc, height, count)
 	}
-	_, height, count := db.IndexStats(features.PrincipalMoments)
-	if height != 1 || count != 1 {
-		t.Errorf("stats = height %d count %d", height, count)
+	if _, err := db.Delete(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, c := db.IndexStats(features.PrincipalMoments); c != 1 {
+		t.Errorf("after a delete the stats count %d rows, want 1", c)
 	}
 	if _, _, c := db.IndexStats(features.ShapeDistribution); c != 0 {
-		t.Errorf("missing index stats count = %d", c)
+		t.Errorf("kind no row carries counts %d rows", c)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"threedess/internal/features"
 	"threedess/internal/geom"
-	"threedess/internal/rtree"
 )
 
 // This file holds the integrity surface the self-healing maintenance
@@ -247,8 +246,8 @@ type QuarantineInfo struct {
 	Detail string     `json:"detail,omitempty"`
 }
 
-// Quarantine removes a record from service — out of the record map and
-// every index, so no query can return it — and remembers why. The
+// Quarantine removes a record from service — out of the record map, so
+// no query can return it — and remembers why. The
 // journal gets a best-effort delete entry (ignored if the journal is
 // poisoned); the authoritative heal is the next compaction, which
 // rewrites the journal without the record and clears the rotten frame
@@ -362,38 +361,4 @@ func (db *DB) Stats() JournalStats {
 	st.JournalEntries = db.entryCount
 	st.DeadEntries = db.entryCount - len(db.frames)
 	return st
-}
-
-// FaultDropIndexEntry removes id's entry from the kind's index while
-// leaving the record in place — an index↔store divergence no correct
-// code path produces. It exists ONLY for fault-injection tests of the
-// reconciler; production code must never call it.
-func (db *DB) FaultDropIndexEntry(k features.Kind, id int64) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rec, ok := db.records[id]
-	if !ok {
-		return false
-	}
-	v, ok := rec.Features[k]
-	if !ok {
-		return false
-	}
-	idx, ok := db.indexes[k]
-	if !ok {
-		return false
-	}
-	return idx.DeletePoint(id, rtree.Point(v))
-}
-
-// FaultInjectOrphan inserts an index entry for an id that has no record
-// — the inverse divergence of FaultDropIndexEntry, equally test-only.
-func (db *DB) FaultInjectOrphan(k features.Kind, id int64, v features.Vector) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	idx, ok := db.indexes[k]
-	if !ok {
-		return fmt.Errorf("shapedb: no index for %v", k)
-	}
-	return idx.InsertPoint(id, rtree.Point(v))
 }

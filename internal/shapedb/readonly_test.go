@@ -71,9 +71,6 @@ func TestEnospcFencesReadOnlyNotFailStop(t *testing.T) {
 		}
 	}
 	for _, k := range features.CoreKinds {
-		if !db.HasIndex(k) {
-			continue
-		}
 		if _, err := db.KNN(k, fixedFeatures(db.Options(), 1)[k], 2); err != nil {
 			t.Fatalf("KNN under fence: %v", err)
 		}

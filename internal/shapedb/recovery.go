@@ -83,10 +83,11 @@ type RecoveryReport struct {
 	// journal was truncated ("" when nothing was discarded).
 	Quarantined string
 	// SkippedRecords counts intact, decodable insert entries that were
-	// nevertheless refused at replay because their feature vectors would
-	// violate index invariants (wrong dimension for the database's options,
-	// or non-finite coordinates). Applying such a record would poison the
-	// R-tree for every future query, so replay drops it instead.
+	// nevertheless refused at replay because their feature vectors no
+	// search can rank (wrong dimension for the database's options, or
+	// non-finite coordinates). Applying such a record would poison the
+	// live-row box and column grids of every future query, so replay drops
+	// it instead.
 	SkippedRecords int
 }
 

@@ -14,9 +14,11 @@ test -z "$(gofmt -l .)"
 go test ./...
 # Frozen-benchmark gate: bench/ is a nested module that the root build
 # never compiles, so an internal API it uses can break unnoticed. Vet it
-# and run its short tests against this tree.
+# and run its whole suite against this tree, uncached: TestSmoke drives
+# every workload and the traced layer run, so a benchmark that compiles
+# but fails at run time fails here.
 go -C bench vet ./...
-go -C bench test -short ./...
+go -C bench test -count=1 ./...
 # Race gate, never cached. Each package below runs whole, once:
 # - shapedb: the store under concurrent reads and writes, the
 #   fault-injection crash matrix, the migration primitives (byte-exact

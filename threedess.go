@@ -4,7 +4,8 @@
 //
 // A System stores triangle-mesh models, extracts the paper's shape
 // descriptors (moment invariants, geometric parameters, principal moments,
-// and skeletal-graph eigenvalues), indexes them in R-trees, and answers
+// and skeletal-graph eigenvalues), indexes them in per-descriptor column
+// snapshots (each with a bulk-loaded R-tree), and answers
 // similarity queries: query-by-example, threshold and top-k search under a
 // weighted Euclidean measure, the multi-step refinement strategy, relevance
 // feedback, and cluster-based browsing.
